@@ -26,7 +26,6 @@ from .bounds import (
     verify_independent,
 )
 from .constructions import (
-    PrimeField,
     TrimTrace,
     affine_plane,
     grid_line_design,
@@ -73,7 +72,6 @@ __all__ = [
     "IncidenceGraph",
     "IndependentSet",
     "OrderedDesign",
-    "PrimeField",
     "TrimTrace",
     "UncoveredPoint",
     "ValidationReport",

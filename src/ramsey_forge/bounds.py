@@ -11,7 +11,7 @@ rectangle-free strength-2 designs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -55,31 +55,23 @@ def verify_independent(g: IncidenceGraph, s: IndependentSet) -> bool:
 
 
 def greedy_independent_set(od: OrderedDesign, g: IncidenceGraph) -> IndependentSet:
-    """One vertex per block, found in a single ordered pass over the points.
+    """One vertex per block: the incidence pair of its order-minimal point.
 
-    Walk the points by ascending rank; for the current point, take its
-    incidence pair with every still-live block containing it, then retire
-    those blocks; points in no live block are skipped.  Every block retires
-    exactly once, so the result has exactly ``block_count`` vertices and is
-    independent for any point order.  Linear in the number of incidences.
+    Two chosen pairs either share their point or the lower-ranked of the two
+    minima lies outside the other block (else it would be that block's
+    minimum), so the set is independent for any point order and has exactly
+    ``block_count`` vertices.
     """
-    design = od.design
-    blocks_of: list[list[int]] = [[] for _ in range(design.point_count)]
-    for bi, block in enumerate(design.blocks):
-        for x in block:
-            blocks_of[x].append(bi)
-    alive = bytearray([1]) * len(design.blocks)
-    alive_count = len(design.blocks)
-    chosen: list[int] = []
-    for x in od.order:
-        if alive_count == 0:
-            break
-        hit = [bi for bi in blocks_of[x] if alive[bi]]
-        for bi in hit:
-            chosen.append(g.index_of(x, bi))
-            alive[bi] = 0
-        alive_count -= len(hit)
-    return IndependentSet(tuple(sorted(chosen)), "greedy")
+    rank = od.ranks()
+    return IndependentSet(
+        tuple(
+            sorted(
+                g.index_of(min(block, key=rank.__getitem__), bi)
+                for bi, block in enumerate(od.design.blocks)
+            )
+        ),
+        "greedy",
+    )
 
 
 def largest_block_set(design: Design, g: IncidenceGraph) -> IndependentSet:
@@ -265,39 +257,19 @@ class BoundsReport:
             if self.greedy > self.exact:
                 raise ValueError("greedy set larger than exact alpha")
 
-    def csv_row(self) -> list[str]:
-        return [
-            self.family,
-            self.param,
-            "" if self.order_seed is None else str(self.order_seed),
-            str(self.n_vertices),
-            str(self.a),
-            str(self.b),
-            str(self.greedy),
-            str(self.block),
-            "" if self.exact is None else str(self.exact),
-            str(self.upper),
-            str(self.chromatic_lb.numerator),
-            str(self.chromatic_lb.denominator),
-            repr(self.ravsky_lb),
-        ]
-
     def as_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "param": self.param,
-            "order_seed": self.order_seed,
-            "n_vertices": self.n_vertices,
-            "a": self.a,
-            "b": self.b,
-            "greedy": self.greedy,
-            "block": self.block,
-            "exact": self.exact,
-            "upper": self.upper,
-            "chromatic_lb_num": self.chromatic_lb.numerator,
-            "chromatic_lb_den": self.chromatic_lb.denominator,
-            "ravsky_lb": self.ravsky_lb,
-        }
+        doc: dict = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "chromatic_lb":
+                doc["chromatic_lb_num"] = value.numerator
+                doc["chromatic_lb_den"] = value.denominator
+            else:
+                doc[f.name] = value
+        return doc
+
+    def csv_row(self) -> list[str]:
+        return ["" if v is None else str(v) for v in self.as_dict().values()]
 
 
 def bounds_report(

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -24,14 +25,12 @@ from .bounds import (
     BoundsReport,
     any_n_alpha_cap,
     bounds_report,
-    greedy_independent_set,
     ravsky_quadratic_check,
 )
 from .constructions import (
     TrimTrace,
     affine_plane,
     grid_line_design,
-    is_prime,
     projective_plane,
     random_packing,
     trim_to_n,
@@ -43,10 +42,12 @@ from .designs import (
     UncoveredPoint,
     design_from_json,
     design_to_json,
+    incidence_count,
     validate_packing,
 )
 from .incidence_graphs import (
     EXPORT_FORMATS,
+    IncidenceGraph,
     OrderedDesign,
     build_gamma,
     check_clique_free,
@@ -55,6 +56,9 @@ from .incidence_graphs import (
 
 SEED_ENV_VAR = "RAMSEY_FORGE_SEED"
 DEFAULT_SEED = 0
+
+# construct refuses designs whose closed-form incidence count exceeds this.
+MAX_CONSTRUCT_INCIDENCES = 10**6
 
 
 class UsageError(Exception):
@@ -97,6 +101,13 @@ def _make_ordered(design: Design, spec: str) -> tuple[OrderedDesign, Optional[in
     raise UsageError(f"invalid order spec {spec!r} (expected id or random:<seed>)")
 
 
+def _build_graph(od: OrderedDesign, path: str) -> IncidenceGraph:
+    try:
+        return build_gamma(od)
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}")
+
+
 def _describe_violation(v) -> str:
     if isinstance(v, EmptyBlock):
         return f"block {v.block} is empty"
@@ -119,45 +130,48 @@ def _require(value, flag: str):
     return value
 
 
-def _construct_family(args) -> tuple[Design, Optional[TrimTrace], str]:
+def _check_construct_size(incidences: int) -> None:
+    if incidences > MAX_CONSTRUCT_INCIDENCES:
+        raise UsageError(
+            f"design would have {incidences} incidences, above the "
+            f"construct cap of {MAX_CONSTRUCT_INCIDENCES}"
+        )
+
+
+def _construct_family(args) -> tuple[Design, Optional[TrimTrace]]:
     family = args.family
     if family == "projective":
         p = _require(args.p, "--p")
-        if not is_prime(p):
-            raise UsageError(f"--p {p}: prime required")
-        return projective_plane(p), None, str(p)
+        _check_construct_size((p * p + p + 1) * (p + 1))
+        return projective_plane(p), None
     if family == "affine":
         p = _require(args.p, "--p")
-        if not is_prime(p):
-            raise UsageError(f"--p {p}: prime required")
-        return affine_plane(p), None, str(p)
+        _check_construct_size(p**3 + p**2)
+        return affine_plane(p), None
     if family == "grid":
         N = _require(args.N, "--N")
-        if N < 1:
-            raise UsageError("--N must be >= 1")
-        return grid_line_design(N), None, str(N)
+        _check_construct_size(N**4)
+        return grid_line_design(N), None
     if family == "trim":
         n = _require(args.n, "--n")
-        if n < 1:
-            raise UsageError("--n must be >= 1")
-        design, trace = trim_to_n(n)
-        return design, trace, str(n)
+        _check_construct_size(n)
+        return trim_to_n(n)
     if family == "random":
         points = _require(args.points, "--points")
         block_size = _require(args.block_size, "--block-size")
         strength = _require(args.strength, "--strength")
         blocks = _require(args.blocks, "--blocks")
         seed = args.seed if args.seed is not None else _default_seed()
-        try:
-            design = random_packing(points, block_size, strength, blocks, seed)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-        return design, None, f"{points},{block_size},{strength},{blocks},{seed}"
+        _check_construct_size(blocks * block_size + points)
+        return random_packing(points, block_size, strength, blocks, seed), None
     raise UsageError(f"unknown family {family!r}")
 
 
 def cmd_construct(args) -> int:
-    design, trace, _param = _construct_family(args)
+    try:
+        design, trace = _construct_family(args)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     out = Path(args.out)
     out.write_text(design_to_json(design))
     if trace is not None:
@@ -166,16 +180,11 @@ def cmd_construct(args) -> int:
             if args.trace_out is not None
             else out.with_suffix(".trace.json")
         )
-        doc = {
-            "n": trace.n,
-            "k": trace.k,
-            "p": trace.p,
-            "removed": [[b, pt] for b, pt in trace.removed],
-        }
-        trace_path.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
+        doc = json.dumps(asdict(trace), separators=(",", ":"))
+        trace_path.write_text(doc + "\n")
     print(f"points: {design.point_count}")
     print(f"blocks: {len(design.blocks)}")
-    print(f"incidences: {sum(len(b) for b in design.blocks)}")
+    print(f"incidences: {incidence_count(design)}")
     return 0
 
 
@@ -238,6 +247,7 @@ def cmd_analyze(args) -> int:
         param=param,
         order_seed=seed,
         exact_budget=args.exact_budget,
+        graph=_build_graph(od, args.design),
     )
     _write_report_rows([row], args.format, args.out)
     return 0
@@ -246,8 +256,7 @@ def cmd_analyze(args) -> int:
 def cmd_export(args) -> int:
     design = _load_design(args.design)
     od, _seed = _make_ordered(design, args.order)
-    g = build_gamma(od)
-    data = export_graph(g, args.format)
+    data = export_graph(_build_graph(od, args.design), args.format)
     if args.out is None:
         sys.stdout.buffer.write(data)
     else:
@@ -286,24 +295,8 @@ def cmd_sweep(args) -> int:
         if check_clique_free(g, 3) is not None:
             print(f"sweep failed at n={n}: triangle found", file=sys.stderr)
             return 1
-        greedy = greedy_independent_set(od, g)
-        if greedy.size != len(design.blocks):
-            print(
-                f"sweep failed at n={n}: greedy {greedy.size} != "
-                f"{len(design.blocks)} blocks",
-                file=sys.stderr,
-            )
-            return 1
-        cap = math.ceil(any_n_alpha_cap(n))
-        upper = design.point_count + len(design.blocks)
-        if upper > cap:
-            print(
-                f"sweep failed at n={n}: points+blocks {upper} above cap {cap}",
-                file=sys.stderr,
-            )
-            return 1
-        rows.append(
-            bounds_report(
+        try:
+            row = bounds_report(
                 od,
                 family="trim",
                 param=str(n),
@@ -311,9 +304,26 @@ def cmd_sweep(args) -> int:
                 exact_budget=args.exact_budget,
                 graph=g,
             )
-        )
+        except ValueError as exc:
+            print(f"sweep failed at n={n}: {exc}", file=sys.stderr)
+            return 1
+        cap = math.ceil(any_n_alpha_cap(n))
+        if row.upper > cap:
+            print(
+                f"sweep failed at n={n}: points+blocks {row.upper} above cap {cap}",
+                file=sys.stderr,
+            )
+            return 1
+        rows.append(row)
     _write_report_rows(rows, args.format, args.out)
     return 0
+
+
+def _budget(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _add_order_flag(sub) -> None:
@@ -362,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--p", type=int, help="parameter label")
     ana.add_argument("--N", type=int, help="parameter label")
     ana.add_argument("--n", type=int, help="parameter label")
-    ana.add_argument("--exact-budget", type=int, default=DEFAULT_EXACT_BUDGET)
+    ana.add_argument("--exact-budget", type=_budget, default=DEFAULT_EXACT_BUDGET)
     ana.add_argument("--format", choices=("csv", "json"), default="csv")
     ana.add_argument("--out", help="report path (default: stdout)")
     ana.set_defaults(func=cmd_analyze)
@@ -377,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     swp = subs.add_parser("sweep", help="run the exact-size family over a range")
     swp.add_argument("--n", required=True, metavar="LO..HI", help="inclusive range")
     _add_order_flag(swp)
-    swp.add_argument("--exact-budget", type=int, default=DEFAULT_EXACT_BUDGET)
+    swp.add_argument("--exact-budget", type=_budget, default=DEFAULT_EXACT_BUDGET)
     swp.add_argument("--format", choices=("csv", "json"), default="csv")
     swp.add_argument("--out", help="report path (default: stdout)")
     swp.set_defaults(func=cmd_sweep)

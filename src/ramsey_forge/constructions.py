@@ -9,9 +9,9 @@ strengths above 2.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Optional
 
@@ -21,67 +21,22 @@ from .designs import Design, incidence_count
 REJECTION_BUDGET = 1000
 
 
-@lru_cache(maxsize=None)
-def _primes_up_to(limit: int) -> tuple[int, ...]:
-    """Eratosthenes sieve; cached, so repeated range queries are cheap."""
-    if limit < 2:
-        return ()
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    p = 2
-    while p * p <= limit:
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-        p += 1
-    return tuple(i for i, f in enumerate(flags) if f)
-
-
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    return n in _primes_up_to(n)
+    return all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def smallest_prime_in(lo: int, hi: int) -> Optional[int]:
     """Smallest prime in [lo, hi], or None when the interval has none."""
     if lo > hi:
         raise ValueError("lo must not exceed hi")
-    for p in _primes_up_to(hi):
-        if p >= lo:
-            return p
-    return None
+    return next((p for p in range(lo, hi + 1) if is_prime(p)), None)
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    """Arithmetic modulo a prime p; elements are the residues 0..p-1."""
-
-    p: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"field order must be prime, got {self.p}")
-
-    @property
-    def elements(self) -> range:
-        return range(self.p)
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return pow(a, -1, self.p)
+def _require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"p={p}: prime required")
 
 
 def _normalized_triples(p: int) -> list[tuple[int, int, int]]:
@@ -101,8 +56,8 @@ def projective_plane(p: int) -> Design:
     p + 1 points, every point lies in p + 1 blocks, and any two distinct
     points share exactly one block.
     """
-    field = PrimeField(p)  # rejects non-prime orders
-    triples = _normalized_triples(field.p)
+    _require_prime(p)
+    triples = _normalized_triples(p)
     blocks = []
     for line in triples:
         members = tuple(
@@ -125,12 +80,12 @@ def affine_plane(p: int) -> Design:
     x = c.  That gives p**2 points and p**2 + p blocks of p points each,
     with every point pair on exactly one block.
     """
-    field = PrimeField(p)
+    _require_prime(p)
     blocks = []
-    for m in field.elements:
-        for c in field.elements:
+    for m in range(p):
+        for c in range(p):
             blocks.append(tuple(x * p + (m * x + c) % p for x in range(p)))
-    for c in field.elements:
+    for c in range(p):
         blocks.append(tuple(c * p + y for y in range(p)))
     labels = tuple(f"({i // p},{i % p})" for i in range(p * p))
     return Design(point_count=p * p, blocks=tuple(blocks), strength=2, labels=labels)
@@ -211,29 +166,20 @@ def trim_to_n(n: int) -> tuple[Design, TrimTrace]:
     blocks = [list(block) for block in base.blocks]
     removed: list[tuple[int, int]] = []
     need = incidence_count(base) - n
-    while need > 0:
-        idx = None
-        for i in range(len(blocks) - 1, -1, -1):
-            if len(blocks[i]) >= 2:
-                idx = i
-                break
-        if idx is None:
-            # every surviving block is a singleton: start deleting blocks
-            for i in range(len(blocks) - 1, -1, -1):
-                if blocks[i]:
-                    idx = i
-                    break
-        removed.append((idx, blocks[idx][-1]))  # ascending blocks: last = largest
-        blocks[idx].pop()
-        need -= 1
+    for i in reversed(range(len(blocks))):  # ascending blocks: pop = largest
+        while need and len(blocks[i]) > 1:
+            removed.append((i, blocks[i].pop()))
+            need -= 1
+    for i in reversed(range(len(blocks))):  # all singletons: delete blocks
+        if need:
+            removed.append((i, blocks[i].pop()))
+            need -= 1
 
     survivors = [block for block in blocks if block]
     old_points = sorted({pt for block in survivors for pt in block})
     relabel = {old: new for new, old in enumerate(old_points)}
     new_blocks = tuple(tuple(relabel[pt] for pt in block) for block in survivors)
-    labels = None
-    if base.labels is not None:
-        labels = tuple(base.labels[old] for old in old_points)
+    labels = tuple(base.labels[old] for old in old_points)
     design = Design(
         point_count=len(old_points), blocks=new_blocks, strength=2, labels=labels
     )
@@ -260,6 +206,8 @@ def random_packing(
         raise ValueError("block_size and strength must be >= 1")
     if block_size > point_count:
         raise ValueError("block_size cannot exceed point_count")
+    if target_blocks < 0:
+        raise ValueError("target_blocks must be >= 0")
     rng = random.Random(seed)
     owner: set[tuple[int, ...]] = set()
     accepted: list[tuple[int, ...]] = []

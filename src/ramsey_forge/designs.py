@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 # Reports keep at most this many witnesses; the total count is always exact.
 MAX_WITNESSES = 100
@@ -107,6 +107,18 @@ class ValidationReport:
             raise ValueError("a valid report cannot carry witnesses")
 
 
+def _duplicated_subsets(
+    blocks: tuple[tuple[int, ...], ...], strength: int
+) -> Iterator[DuplicatedSubset]:
+    """Yield each ``strength``-subset found in a block after its first owner."""
+    owner: dict[tuple[int, ...], int] = {}
+    for i, block in enumerate(blocks):
+        for subset in combinations(block, strength):
+            prev = owner.setdefault(subset, i)
+            if prev != i:
+                yield DuplicatedSubset(subset, prev, i)
+
+
 def validate_packing(design: Design) -> ValidationReport:
     """Check the three packing conditions and report every violation.
 
@@ -141,16 +153,20 @@ def validate_packing(design: Design) -> ValidationReport:
         if not c:
             add(UncoveredPoint(p))
 
-    owner: dict[tuple[int, ...], int] = {}
-    for i, block in enumerate(design.blocks):
-        for subset in combinations(block, design.strength):
-            prev = owner.setdefault(subset, i)
-            if prev != i:
-                add(DuplicatedSubset(subset, prev, i))
+    for duplicate in _duplicated_subsets(design.blocks, design.strength):
+        add(duplicate)
 
     return ValidationReport(
         valid=(total == 0), violations=tuple(violations), total_violations=total
     )
+
+
+def _covers_all(design: Design) -> bool:
+    """Whether every ``strength``-subset of points lies in some block."""
+    covered: set[tuple[int, ...]] = set()
+    for block in design.blocks:
+        covered.update(combinations(block, design.strength))
+    return len(covered) == comb(design.point_count, design.strength)
 
 
 def is_steiner(design: Design, k: int) -> bool:
@@ -160,12 +176,7 @@ def is_steiner(design: Design, k: int) -> bool:
     Assumes ``design`` already passes :func:`validate_packing` (so subsets
     are covered at most once; this only adds the "at least once" half).
     """
-    if any(len(block) != k for block in design.blocks):
-        return False
-    covered: set[tuple[int, ...]] = set()
-    for block in design.blocks:
-        covered.update(combinations(block, design.strength))
-    return len(covered) == comb(design.point_count, design.strength)
+    return all(len(block) == k for block in design.blocks) and _covers_all(design)
 
 
 def is_pairwise_balanced(design: Design) -> bool:
@@ -173,12 +184,7 @@ def is_pairwise_balanced(design: Design) -> bool:
     lies in exactly one block.  Only meaningful for strength-2 designs."""
     if design.strength != 2:
         raise ValueError("pairwise balance is a strength-2 notion")
-    if any(len(block) < 2 for block in design.blocks):
-        return False
-    covered: set[tuple[int, ...]] = set()
-    for block in design.blocks:
-        covered.update(combinations(block, 2))
-    return len(covered) == comb(design.point_count, 2)
+    return all(len(block) >= 2 for block in design.blocks) and _covers_all(design)
 
 
 def incidence_count(design: Design) -> int:
@@ -193,13 +199,7 @@ def rectangle_free(design: Design) -> bool:
     For a design that passes :func:`validate_packing` with strength 2 this
     is always true; the check itself does not depend on ``strength``.
     """
-    seen: set[tuple[int, int]] = set()
-    for block in design.blocks:
-        for pair in combinations(block, 2):
-            if pair in seen:
-                return False
-            seen.add(pair)
-    return True
+    return next(_duplicated_subsets(design.blocks, 2), None) is None
 
 
 def fisher_holds(design: Design) -> bool:
@@ -236,10 +236,11 @@ def design_from_json(text: str) -> Design:
     point_count = doc["point_count"]
     strength = doc["strength"]
     blocks = doc["blocks"]
-    if not isinstance(point_count, int) or not isinstance(strength, int):
+    # exact type checks: JSON true/false parse as bool, an int subclass
+    if type(point_count) is not int or type(strength) is not int:
         raise ValueError("point_count and strength must be integers")
     if not isinstance(blocks, list) or not all(
-        isinstance(b, list) and all(isinstance(p, int) for p in b) for b in blocks
+        isinstance(b, list) and all(type(p) is int for p in b) for b in blocks
     ):
         raise ValueError("blocks must be a list of integer lists")
     labels = doc.get("labels")

@@ -3,7 +3,8 @@
 Each oracle evaluates a definition directly: the edge predicate over all
 vertex pairs, independence over all 2**v vertex subsets, cliques over all
 vertex m-subsets, and the packing conditions over all block pairs.  They are
-deliberately slow and only usable at desk scale.
+deliberately slow and only usable at desk scale.  The greedy oracle keeps an
+earlier, procedural formulation of the greedy pass as a reference.
 """
 
 from itertools import combinations
@@ -38,6 +39,28 @@ def brute_force_adjacency(design, order, vertices):
             if lo_point in block_sets[hi_block]:
                 rows[i] |= 1 << j
     return rows
+
+
+def greedy_by_retiring_blocks(design, order, vertices):
+    """Greedy one-per-block set as an ordered pass that retires blocks.
+
+    Walk the points by ascending rank; take the current point's pair with
+    every still-live block containing it, then retire those blocks.
+    Returns the chosen vertex indices, ascending.
+    """
+    index = {v: i for i, v in enumerate(vertices)}
+    blocks_of = [[] for _ in range(design.point_count)]
+    for bi, block in enumerate(design.blocks):
+        for x in block:
+            blocks_of[x].append(bi)
+    alive = [True] * len(design.blocks)
+    chosen = []
+    for x in order:
+        for bi in blocks_of[x]:
+            if alive[bi]:
+                chosen.append(index[(x, bi)])
+                alive[bi] = False
+    return sorted(chosen)
 
 
 def enumerate_alpha(adjacency):

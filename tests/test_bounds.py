@@ -10,6 +10,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramsey_forge import (
     BoundsReport,
@@ -33,7 +35,7 @@ from ramsey_forge import (
     upper_bound_alpha,
     verify_independent,
 )
-from oracles import enumerate_alpha
+from oracles import enumerate_alpha, greedy_by_retiring_blocks
 
 
 def _gamma(design, seed=None):
@@ -63,6 +65,28 @@ def test_greedy_always_returns_one_vertex_per_block(fano, ag22, grid2):
             s = greedy_independent_set(od, g)
             assert s.size == len(design.blocks)
             assert verify_independent(g, s)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    strength=st.integers(1, 4),
+    block_size=st.integers(1, 6),
+    extra_points=st.integers(0, 8),
+    target_blocks=st.integers(0, 8),
+    seed=st.integers(0, 2**32),
+    order_seed=st.integers(0, 2**32),
+)
+def test_greedy_matches_retiring_pass_on_random_packings(
+    strength, block_size, extra_points, target_blocks, seed, order_seed
+):
+    design = random_packing(
+        block_size + extra_points, block_size, strength, target_blocks, seed
+    )
+    od, g = _gamma(design, order_seed)
+    greedy = greedy_independent_set(od, g)
+    assert list(greedy.vertices) == greedy_by_retiring_blocks(
+        design, od.order, g.vertices
+    )
 
 
 def test_largest_block_set(fano, grid2):
@@ -223,8 +247,10 @@ def test_bounds_report_assembly(fano):
 
     csv_row = row.csv_row()
     assert len(csv_row) == len(BoundsReport.CSV_FIELDS)
-    assert csv_row[0] == "projective"
-    assert csv_row[10:12] == ["3", "2"]
+    assert csv_row == [
+        "projective", "2", "", "21", "7", "7", "7", "3", "11", "14", "3", "2",
+        "7.7508111640680974",
+    ]
 
     doc = row.as_dict()
     assert list(doc) == list(BoundsReport.CSV_FIELDS)

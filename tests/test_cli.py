@@ -47,6 +47,30 @@ def test_construct_requires_prime(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_construct_refuses_oversized_designs(tmp_path, capsys):
+    out = tmp_path / "huge.json"
+    for argv in (
+        ["--family", "projective", "--p", "1000000000000000003"],
+        ["--family", "grid", "--N", "100"],
+    ):
+        code, _, stderr = run(["construct", *argv, "--out", str(out)], capsys)
+        assert code == 2
+        assert "above the construct cap" in stderr
+        assert not out.exists()
+
+
+def test_construct_rejects_negative_block_target(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code, _, stderr = run(
+        ["construct", "--family", "random", "--points", "10", "--block-size",
+         "3", "--strength", "2", "--blocks", "-4", "--out", str(out)],
+        capsys,
+    )
+    assert code == 2
+    assert "target_blocks" in stderr
+    assert not out.exists()
+
+
 def test_construct_trim_writes_trace(tmp_path, capsys):
     out = tmp_path / "trim10.json"
     code, stdout, _ = run(
@@ -169,6 +193,29 @@ def test_analyze_rejects_blockless_design(tmp_path, capsys):
     code, _, stderr = run(["analyze", str(empty)], capsys)
     assert code == 2
     assert "no blocks" in stderr
+
+
+def test_analyze_rejects_negative_budget(tmp_path, capsys):
+    design = tmp_path / "d.json"
+    run(["construct", "--family", "affine", "--p", "2", "--out", str(design)], capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(design), "--exact-budget", "-5"])
+    assert exc.value.code == 2
+    assert "--exact-budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "export"])
+def test_invalid_design_is_a_usage_error(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        '{"point_count":4,"strength":2,"blocks":[[0,1,2],[0,1,3]]}\n'
+    )
+    code, stdout, stderr = run([command, str(bad)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith(
+        f"error: {bad}: design violates the packing conditions"
+    )
 
 
 def test_export_matches_library(tmp_path, capsys):

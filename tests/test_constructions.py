@@ -12,12 +12,12 @@ from itertools import combinations
 import pytest
 
 from ramsey_forge import (
-    PrimeField,
     TrimTrace,
     affine_plane,
     fisher_holds,
     grid_line_design,
     incidence_count,
+    is_prime,
     is_steiner,
     projective_plane,
     random_packing,
@@ -28,28 +28,17 @@ from ramsey_forge import (
 )
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_prime_field_axioms(p):
-    f = PrimeField(p)
-    for a in f.elements:
-        for b in f.elements:
-            assert f.add(a, b) == f.add(b, a)
-            assert f.mul(a, b) == f.mul(b, a)
-            for c in f.elements:
-                assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
-                assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-                assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-        assert f.add(a, f.neg(a)) == 0
-        if a != 0:
-            assert f.mul(a, f.inv(a)) == 1
-    with pytest.raises(ZeroDivisionError):
-        f.inv(0)
+def test_is_prime_matches_definition():
+    for n in range(-5, 3000):
+        naive = n >= 2 and all(n % d for d in range(2, n))
+        assert is_prime(n) == naive
 
 
 def test_prime_field_rejects_composite_order():
-    for bad in (0, 1, 4, 6, 9):
-        with pytest.raises(ValueError):
-            PrimeField(bad)
+    for construct in (projective_plane, affine_plane):
+        for bad in (0, 1, 4, 6, 9):
+            with pytest.raises(ValueError, match="prime required"):
+                construct(bad)
 
 
 def _pair_coverage(design):
@@ -219,3 +208,5 @@ def test_random_packing_rejects_impossible_parameters():
         random_packing(3, 0, 2, 1, seed=0)
     with pytest.raises(ValueError):
         random_packing(3, 2, 0, 1, seed=0)
+    with pytest.raises(ValueError):
+        random_packing(3, 2, 2, -4, seed=0)

@@ -15,6 +15,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramsey_forge import (
     Design,
@@ -193,6 +195,21 @@ def test_rectangle_free(fano_by_hand, grid2):
     )
 
 
+@st.composite
+def _random_designs(draw):
+    """Structurally sound designs over 1-7 points, most of them invalid."""
+    point_count = draw(st.integers(1, 7))
+    block = st.sets(st.integers(0, point_count - 1)).map(sorted).map(tuple)
+    blocks = draw(st.lists(block, max_size=6))
+    return Design(point_count, tuple(blocks), strength=draw(st.integers(1, 3)))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_random_designs())
+def test_rectangle_free_matches_matrix_search(design):
+    assert rectangle_free(design) != incidence_matrix_has_rectangle(design)
+
+
 def test_valid_strength2_designs_are_rectangle_free(fano_by_hand, ag22, grid2):
     for design in (fano_by_hand, ag22, grid2):
         assert validate_packing(design).valid
@@ -250,3 +267,7 @@ def test_json_rejects_malformed_documents():
         design_from_json('{"point_count": 2, "strength": 2, "blocks": [[1, 0]]}')
     with pytest.raises(ValueError):
         design_from_json('{"point_count": 2, "strength": 2, "blocks": [[0, 5]]}')
+    with pytest.raises(ValueError):  # JSON booleans are not integers
+        design_from_json('{"point_count": true, "strength": true, "blocks": [[0]]}')
+    with pytest.raises(ValueError):
+        design_from_json('{"point_count": 2, "strength": 2, "blocks": [[false, true]]}')
