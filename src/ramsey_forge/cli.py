@@ -190,7 +190,10 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     design = _load_design(args.design)
-    report = validate_packing(design)
+    try:
+        report = validate_packing(design)
+    except ValueError as exc:
+        raise UsageError(f"{args.design}: {exc}")
     if not report.valid:
         first = _describe_violation(report.violations[0])
         print(f"packing: invalid ({first})")

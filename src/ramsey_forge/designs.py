@@ -23,6 +23,9 @@ from typing import Iterator, Optional, Union
 # Reports keep at most this many witnesses; the total count is always exact.
 MAX_WITNESSES = 100
 
+# The subset scan refuses designs that would register more subsets than this.
+MAX_REGISTERED_SUBSETS = 10**7
+
 
 @dataclass(frozen=True)
 class EmptyBlock:
@@ -110,7 +113,17 @@ class ValidationReport:
 def _duplicated_subsets(
     blocks: tuple[tuple[int, ...], ...], strength: int
 ) -> Iterator[DuplicatedSubset]:
-    """Yield each ``strength``-subset found in a block after its first owner."""
+    """Yield each ``strength``-subset found in a block after its first owner.
+
+    Raises ValueError, before any subset is registered, when the blocks hold
+    more than ``MAX_REGISTERED_SUBSETS`` ``strength``-subsets in total.
+    """
+    registered = sum(comb(len(block), strength) for block in blocks)
+    if registered > MAX_REGISTERED_SUBSETS:
+        raise ValueError(
+            f"design has {registered} {strength}-subsets to check, above the "
+            f"cap of {MAX_REGISTERED_SUBSETS}"
+        )
     owner: dict[tuple[int, ...], int] = {}
     for i, block in enumerate(blocks):
         for subset in combinations(block, strength):
@@ -127,7 +140,8 @@ def validate_packing(design: Design) -> ValidationReport:
     check registers each block's ``strength``-subsets in a hash map keyed by
     the sorted id tuple, so the cost is linear in the number of registered
     subsets (for strength 2: the per-block pair counts), never in
-    ``point_count**2 * block_count``.
+    ``point_count**2 * block_count``.  A design with more than
+    ``MAX_REGISTERED_SUBSETS`` subsets to register raises ValueError.
 
     Structural problems (ids out of range, non-ascending blocks) are errors
     raised at :class:`Design` construction, not report entries.

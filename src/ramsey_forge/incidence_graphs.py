@@ -165,53 +165,34 @@ def check_clique_free(g: IncidenceGraph, m: int) -> Optional[tuple[int, ...]]:
     """Exhaustively search for an m-clique; None certifies there is none.
 
     A found clique is returned as the lexicographically first witness in
-    vertex-index order.  m = 3 scans each edge once and intersects the two
-    endpoints' bit rows; larger m uses depth-first extension restricted to
-    the running common neighborhood.
+    vertex-index order.  One depth-first search serves every m: the clique
+    so far is extended by each candidate v in ascending order, and the
+    candidates for the next vertex are those above v that are adjacent to v
+    and to the whole clique (one AND of bit rows).  A branch is cut only
+    when fewer candidates remain than vertices are still needed, so the
+    search stays exhaustive.
     """
     if m < 1:
         raise ValueError("clique size must be >= 1")
-    n = g.n_vertices
     adj = g.adjacency
-    if m == 1:
-        return (0,) if n else None
+    clique: list[int] = []
 
-    def above(v: int) -> int:
-        return -1 << (v + 1)
-
-    if m == 3:
-        for u in range(n):
-            nbrs = adj[u] & above(u)
-            while nbrs:
-                lsb = nbrs & -nbrs
-                v = lsb.bit_length() - 1
-                nbrs ^= lsb
-                common = adj[u] & adj[v] & above(v)
-                if common:
-                    w = (common & -common).bit_length() - 1
-                    return (u, v, w)
-        return None
-
-    def extend(prefix: list[int], cand: int) -> Optional[tuple[int, ...]]:
-        if len(prefix) == m:
-            return tuple(prefix)
-        if cand.bit_count() < m - len(prefix):
-            return None
-        rest = cand
+    def extend(rest: int, need: int) -> bool:
+        if not need:
+            return True
         while rest:
             lsb = rest & -rest
             v = lsb.bit_length() - 1
             rest ^= lsb
-            found = extend(prefix + [v], cand & adj[v] & above(v))
-            if found:
-                return found
-        return None
+            nxt = rest & adj[v]
+            if nxt.bit_count() >= need - 1:
+                clique.append(v)
+                if extend(nxt, need - 1):
+                    return True
+                clique.pop()
+        return False
 
-    for u in range(n):
-        found = extend([u], adj[u] & above(u))
-        if found:
-            return found
-    return None
+    return tuple(clique) if extend((1 << g.n_vertices) - 1, m) else None
 
 
 def _edges_ascending(g: IncidenceGraph) -> list[tuple[int, int]]:

@@ -76,15 +76,24 @@ def enumerate_alpha(adjacency):
     return int(np.bitwise_count(masks[ok]).max())
 
 
-def has_clique_brute(adjacency, m):
-    """Whether any m vertices are pairwise adjacent, by full enumeration."""
+def first_clique_brute(adjacency, m):
+    """The lexicographically first m pairwise adjacent vertices, or None.
+
+    ``combinations`` yields the m-subsets in lexicographic order, so the
+    first hit is the first witness.
+    """
     n = len(adjacency)
     for subset in combinations(range(n), m):
         if all(
             (adjacency[u] >> w) & 1 for u, w in combinations(subset, 2)
         ):
-            return True
-    return False
+            return subset
+    return None
+
+
+def has_clique_brute(adjacency, m):
+    """Whether any m vertices are pairwise adjacent, by full enumeration."""
+    return first_clique_brute(adjacency, m) is not None
 
 
 def naive_packing_valid(design):

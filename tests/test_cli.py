@@ -218,6 +218,20 @@ def test_invalid_design_is_a_usage_error(tmp_path, capsys, command):
     )
 
 
+@pytest.mark.parametrize("command", ["verify", "analyze", "export"])
+def test_oversized_subset_scan_is_a_usage_error(tmp_path, capsys, command):
+    # one 60-point block at strength 30: C(60, 30) ~ 1.2e17 subsets to check
+    whole = tmp_path / "whole.json"
+    whole.write_text(
+        json.dumps({"point_count": 60, "strength": 30, "blocks": [list(range(60))]})
+    )
+    code, stdout, stderr = run([command, str(whole)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith(f"error: {whole}: design has 118264581564861424 30-subsets")
+    assert "above the cap of 10000000" in stderr
+
+
 def test_export_matches_library(tmp_path, capsys):
     from ramsey_forge import OrderedDesign, build_gamma, export_graph
 

@@ -9,6 +9,8 @@ Claims exercised here:
     matrix, and both match a brute-force 2x2 submatrix search
   - Steiner / pairwise-balanced predicates agree with direct enumeration
   - validity is invariant under block permutation and point relabeling
+  - the subset scan refuses, in closed form and before any work, designs
+    with more strength-subsets than MAX_REGISTERED_SUBSETS
 """
 
 import random
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramsey_forge import designs
 from ramsey_forge import (
     Design,
     DuplicatedSubset,
@@ -73,6 +76,22 @@ def test_witness_list_truncates_but_total_is_exact():
     report = validate_packing(design)
     assert report.total_violations == 105  # C(15, 2)
     assert len(report.violations) == 100
+
+
+def test_subset_scan_refuses_designs_over_the_budget(fano_by_hand, monkeypatch):
+    # C(60, 30) ~ 1.2e17 subsets: refused at once instead of enumerated
+    whole = Design(60, (tuple(range(60)),), strength=30)
+    with pytest.raises(ValueError, match="above the cap of 10000000"):
+        validate_packing(whole)
+    # the count is the closed form sum of C(|B|, strength): 7 * 3 for Fano
+    monkeypatch.setattr(designs, "MAX_REGISTERED_SUBSETS", 21)
+    assert validate_packing(fano_by_hand).valid
+    assert rectangle_free(fano_by_hand)
+    monkeypatch.setattr(designs, "MAX_REGISTERED_SUBSETS", 20)
+    with pytest.raises(ValueError, match="21 2-subsets"):
+        validate_packing(fano_by_hand)
+    with pytest.raises(ValueError, match="above the cap of 20"):
+        rectangle_free(fano_by_hand)
 
 
 def test_structural_errors_raise():

@@ -3,11 +3,17 @@
 The built adjacency is compared against a direct evaluation of the edge
 predicate over all vertex pairs for every design small enough, across both
 the id order and random point orders; the clique checker is compared against
-full m-subset enumeration; exports are pinned byte-for-byte on hand-worked
-graphs.
+full m-subset enumeration, witness included; exports are pinned
+byte-for-byte on hand-worked graphs.  The hypothesis properties run
+derandomized, so the suite draws the same examples on every run.
 """
 
+import random
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramsey_forge import (
     Design,
@@ -20,7 +26,10 @@ from ramsey_forge import (
     incidence_count,
     random_packing,
 )
-from oracles import brute_force_adjacency, has_clique_brute
+from oracles import brute_force_adjacency, first_clique_brute, has_clique_brute
+
+# Keeps the m-subset enumeration of first_clique_brute at desk scale.
+MAX_ORACLE_VERTICES = 24
 
 
 def _planted_clique_graph(size):
@@ -92,6 +101,32 @@ def test_adjacency_matches_brute_force_edge_rule(fano, ag22, ag23, grid2):
             assert list(g.adjacency) == expected
 
 
+@st.composite
+def _small_packings(draw, strengths):
+    """A seeded random packing with as many blocks as MAX_ORACLE_VERTICES
+    incidences allow, under a random point order."""
+    strength = draw(st.sampled_from(strengths))
+    block_size = draw(st.integers(1, 6))
+    extra_points = draw(st.integers(0, 6))
+    # accepted blocks add block_size incidences each; the singleton blocks
+    # for uncovered points add at most extra_points more
+    design = random_packing(
+        block_size + extra_points,
+        block_size,
+        strength,
+        (MAX_ORACLE_VERTICES - extra_points) // block_size,
+        seed=draw(st.integers(0, 2**32)),
+    )
+    return OrderedDesign.random_order(design, draw(st.integers(0, 2**32)))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_small_packings(strengths=(1, 2, 3, 4)))
+def test_adjacency_matches_brute_force_on_random_packings(od):
+    g = build_gamma(od)
+    assert list(g.adjacency) == brute_force_adjacency(od.design, od.order, g.vertices)
+
+
 def test_point_fibers_are_independent(fano):
     for seed in range(3):
         od = OrderedDesign.random_order(fano, seed)
@@ -134,6 +169,41 @@ def test_planted_triangle_is_found():
         for v in witness:
             if u != v:
                 assert (g.adjacency[u] >> v) & 1
+
+
+@st.composite
+def _random_graphs(draw):
+    """Symmetric graphs on 0-13 vertices, from edgeless to complete."""
+    n = draw(st.integers(0, 13))
+    density = draw(st.integers(0, 100))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    adjacency = [0] * n
+    for u, v in combinations(range(n), 2):
+        if rng.randrange(100) < density:
+            adjacency[u] |= 1 << v
+            adjacency[v] |= 1 << u
+    return IncidenceGraph(
+        vertices=tuple((i, i) for i in range(n)), adjacency=tuple(adjacency), m=3
+    )
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_random_graphs())
+def test_clique_search_matches_enumeration_on_random_graphs(g):
+    for m in range(1, 7):
+        assert check_clique_free(g, m) == first_clique_brute(g.adjacency, m)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_small_packings(strengths=(3, 4)))
+def test_packing_graphs_are_clique_free_under_random_orders(od):
+    g = build_gamma(od)
+    assert g.n_vertices <= MAX_ORACLE_VERTICES
+    assert check_clique_free(g, g.m) is None
+    assert first_clique_brute(g.adjacency, g.m) is None
+    # one size down, cliques may exist and the witness must be the first
+    m = g.m - 1
+    assert check_clique_free(g, m) == first_clique_brute(g.adjacency, m)
 
 
 def test_witness_is_lexicographically_first():

@@ -1,0 +1,94 @@
+"""The benchmark's layer tracer against the library's public signatures.
+
+``perfbench/tracing.py`` wraps every public layer function in a span and
+reads counts off the positional arguments and results of some of them
+(``check_clique_free``'s second argument is the clique size m).  Running the
+CLI in process under that instrumentation catches a signature change that
+would otherwise first break the traced benchmark run: the outputs must equal
+those of an uninstrumented run, and the spans must carry their counts.
+"""
+
+import importlib.util
+from math import comb
+from pathlib import Path
+
+from ramsey_forge import (
+    OrderedDesign,
+    build_gamma,
+    cli,
+    design_to_json,
+    incidence_count,
+    projective_plane,
+    random_packing,
+)
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run_all(commands, capsys):
+    results = []
+    for argv, out in commands:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        data = None if out is None else out.read_bytes()
+        results.append((code, captured.out, captured.err, data))
+    return results
+
+
+def test_traced_cli_matches_untraced_and_records_counts(tmp_path, capsys):
+    tracing = _load_tracing()
+    packing = random_packing(12, 5, 4, 6, seed=3)
+    fano = projective_plane(2)
+    packing_path = tmp_path / "k5.json"
+    fano_path = tmp_path / "fano.json"
+    packing_path.write_text(design_to_json(packing))
+    fano_path.write_text(design_to_json(fano))
+    report = tmp_path / "fano.csv"
+    dimacs = tmp_path / "fano.dimacs"
+    commands = [
+        (["verify", str(packing_path), "--order", "random:1"], None),
+        (["analyze", str(fano_path), "--out", str(report)], report),
+        (["export", str(fano_path), "--out", str(dimacs)], dimacs),
+    ]
+    plain = _run_all(commands, capsys)
+    assert [r[0] for r in plain] == [0, 0, 0]
+    assert plain[0][1] == "packing: valid\nK5-free: yes\n"
+
+    tracer = tracing.Tracer()
+    restore = tracing.instrument(tracer)
+    try:
+        traced = _run_all(commands, capsys)
+    finally:
+        restore()
+    assert traced == plain
+
+    counts = {}
+    for span in tracer.spans:
+        counts.setdefault(span.name, []).append(span.counts)
+    assert counts["incidence_graphs.check_clique_free"] == [{"m": 5}]
+    packing_graph = build_gamma(OrderedDesign.random_order(packing, 1))
+    fano_graph = {"vertices": 21, "edges": 42, "incidences": 21}
+    assert counts["incidence_graphs.build_gamma"] == [
+        {
+            "vertices": packing_graph.n_vertices,
+            "edges": packing_graph.edge_count,
+            "incidences": incidence_count(packing),
+        },
+        fano_graph,
+        fano_graph,
+    ]
+    # verify validates the packing itself and again inside build_gamma
+    packing_subsets = sum(comb(len(b), 4) for b in packing.blocks)
+    assert counts["designs.validate_packing"] == (
+        [{"subsets_registered": packing_subsets}] * 2
+        + [{"subsets_registered": 21}] * 2
+    )
+    assert len(counts["incidence_graphs.graph_validate"]) == 3
+    assert len(counts["cli.main"]) == 3
