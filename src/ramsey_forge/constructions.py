@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .designs import Design, incidence_count
+from .designs import MAX_REGISTERED_SUBSETS, Design, incidence_count
 
 # random_packing stops after this many consecutive rejected samples.
 REJECTION_BUDGET = 1000
@@ -200,7 +200,9 @@ def random_packing(
     duplicated ``strength``-subset; sampling stops at ``target_blocks``
     accepted blocks or after ``REJECTION_BUDGET`` consecutive rejections.
     Points still uncovered afterwards are wrapped in singleton blocks, so
-    the result always validates.  Same inputs, same design.
+    the result always validates.  Same inputs, same design.  Raises
+    ValueError up front when the sampled blocks could hold more than
+    ``MAX_REGISTERED_SUBSETS`` ``strength``-subsets.
     """
     if block_size < 1 or strength < 1:
         raise ValueError("block_size and strength must be >= 1")
@@ -208,6 +210,12 @@ def random_packing(
         raise ValueError("block_size cannot exceed point_count")
     if target_blocks < 0:
         raise ValueError("target_blocks must be >= 0")
+    subsets = math.comb(block_size, strength) * max(target_blocks, 1)
+    if subsets > MAX_REGISTERED_SUBSETS:
+        raise ValueError(
+            f"sampling would list {subsets} {strength}-subsets, above the "
+            f"cap of {MAX_REGISTERED_SUBSETS}"
+        )
     rng = random.Random(seed)
     owner: set[tuple[int, ...]] = set()
     accepted: list[tuple[int, ...]] = []

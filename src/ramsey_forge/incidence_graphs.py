@@ -14,7 +14,6 @@ which makes common-neighborhood intersections single AND operations.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -195,30 +194,31 @@ def check_clique_free(g: IncidenceGraph, m: int) -> Optional[tuple[int, ...]]:
     return tuple(clique) if extend((1 << g.n_vertices) - 1, m) else None
 
 
-def _edges_ascending(g: IncidenceGraph) -> list[tuple[int, int]]:
-    edges = []
-    for u in range(g.n_vertices):
-        row = g.adjacency[u] & (-1 << (u + 1))
-        while row:
-            lsb = row & -row
-            edges.append((u, lsb.bit_length() - 1))
-            row ^= lsb
-    return edges
-
-
 def export_graph(g: IncidenceGraph, fmt: str) -> bytes:
     """Serialize the graph; byte-exact across runs for the same graph.
 
     dimacs: "p edge n m" header then one "e u v" line per undirected edge,
     1-based, u < v, ascending.  edge-json: {"n": ..., "edges": [[u, v], ...]}
-    with the same edge ordering, 0-based.
+    with the same edge ordering, 0-based.  Built as one chunk per vertex row,
+    joined once; edge-json pairs lead with a comma, cut from the first pair.
     """
-    edges = _edges_ascending(g)
     if fmt == "dimacs":
-        lines = [f"p edge {g.n_vertices} {len(edges)}"]
-        lines.extend(f"e {u + 1} {v + 1}" for u, v in edges)
-        return ("\n".join(lines) + "\n").encode("ascii")
+        base, head, sep, tail = 1, "e {0} ", "\ne {0} ", "\n"
+        chunks = [f"p edge {g.n_vertices} {g.edge_count}\n".encode("ascii")]
+    elif fmt == "edge-json":
+        base, head, sep, tail = 0, ",[{0},", "],[{0},", "]"
+        chunks = [f'{{"n":{g.n_vertices},"edges":['.encode("ascii")]
+    else:
+        raise ValueError(f"unsupported export format: {fmt!r}")
+    for u, row in enumerate(g.adjacency):
+        label, row, ends = u + base, row >> (u + 1), []
+        while row:
+            lsb = row & -row
+            ends.append(label + lsb.bit_length())
+            row ^= lsb
+        if ends:
+            chunks.append((head + sep.join(map(str, ends)) + tail).format(label).encode())
     if fmt == "edge-json":
-        doc = {"n": g.n_vertices, "edges": [[u, v] for u, v in edges]}
-        return (json.dumps(doc, separators=(",", ":")) + "\n").encode("ascii")
-    raise ValueError(f"unsupported export format: {fmt!r}")
+        chunks[1:2] = [chunk[1:] for chunk in chunks[1:2]]
+        chunks.append(b"]}\n")
+    return b"".join(chunks)

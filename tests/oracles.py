@@ -4,9 +4,11 @@ Each oracle evaluates a definition directly: the edge predicate over all
 vertex pairs, independence over all 2**v vertex subsets, cliques over all
 vertex m-subsets, and the packing conditions over all block pairs.  They are
 deliberately slow and only usable at desk scale.  The greedy oracle keeps an
-earlier, procedural formulation of the greedy pass as a reference.
+earlier, procedural formulation of the greedy pass as a reference, and the
+export oracle the earlier exporter that formats one explicit edge list.
 """
 
+import json
 from itertools import combinations
 
 import numpy as np
@@ -61,6 +63,23 @@ def greedy_by_retiring_blocks(design, order, vertices):
                 chosen.append(index[(x, bi)])
                 alive[bi] = False
     return sorted(chosen)
+
+
+def export_by_edge_list(adjacency, fmt):
+    """DIMACS or edge-json bytes formatted from the full ascending edge list.
+
+    The edges are the pairs u < v with bit v set in row u, found by testing
+    every pair.
+    """
+    n = len(adjacency)
+    edges = [(u, v) for u, v in combinations(range(n), 2) if (adjacency[u] >> v) & 1]
+    if fmt == "dimacs":
+        lines = [f"p edge {n} {len(edges)}"]
+        lines.extend(f"e {u + 1} {v + 1}" for u, v in edges)
+        return ("\n".join(lines) + "\n").encode("ascii")
+    assert fmt == "edge-json"
+    doc = {"n": n, "edges": [[u, v] for u, v in edges]}
+    return (json.dumps(doc, separators=(",", ":")) + "\n").encode("ascii")
 
 
 def enumerate_alpha(adjacency):

@@ -71,6 +71,18 @@ def test_construct_rejects_negative_block_target(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_construct_refuses_oversized_subset_sampling(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code, _, stderr = run(
+        ["construct", "--family", "random", "--points", "60", "--block-size",
+         "60", "--strength", "30", "--blocks", "1", "--out", str(out)],
+        capsys,
+    )
+    assert code == 2
+    assert "30-subsets, above the cap of 10000000" in stderr
+    assert not out.exists()
+
+
 def test_construct_trim_writes_trace(tmp_path, capsys):
     out = tmp_path / "trim10.json"
     code, stdout, _ = run(

@@ -26,6 +26,7 @@ from ramsey_forge import (
     trim_to_n,
     validate_packing,
 )
+from ramsey_forge.designs import MAX_REGISTERED_SUBSETS
 
 
 def test_is_prime_matches_definition():
@@ -210,3 +211,17 @@ def test_random_packing_rejects_impossible_parameters():
         random_packing(3, 2, 0, 1, seed=0)
     with pytest.raises(ValueError):
         random_packing(3, 2, 2, -4, seed=0)
+
+
+def test_random_packing_refuses_oversized_subset_lists():
+    # C(60, 30) subsets of one sampled block: refused before any is listed
+    with pytest.raises(ValueError, match="30-subsets, above the cap"):
+        random_packing(60, 60, 30, 1, seed=0)
+    with pytest.raises(ValueError, match="above the cap"):
+        random_packing(60, 60, 30, 0, seed=0)
+    # closed-form boundary: C(5, 1) * target_blocks against the cap; the
+    # second block is always rejected, so sampling at the cap stops quickly
+    at_cap = MAX_REGISTERED_SUBSETS // 5
+    assert random_packing(5, 5, 1, at_cap, seed=0).blocks == ((0, 1, 2, 3, 4),)
+    with pytest.raises(ValueError, match="above the cap"):
+        random_packing(5, 5, 1, at_cap + 1, seed=0)

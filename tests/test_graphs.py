@@ -4,11 +4,13 @@ The built adjacency is compared against a direct evaluation of the edge
 predicate over all vertex pairs for every design small enough, across both
 the id order and random point orders; the clique checker is compared against
 full m-subset enumeration, witness included; exports are pinned
-byte-for-byte on hand-worked graphs.  The hypothesis properties run
-derandomized, so the suite draws the same examples on every run.
+byte-for-byte on hand-worked graphs and compared byte-for-byte with an
+edge-list exporter on random and packing graphs.  The hypothesis properties
+run derandomized, so the suite draws the same examples on every run.
 """
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramsey_forge import (
+    EXPORT_FORMATS,
     Design,
     IncidenceGraph,
     OrderedDesign,
@@ -24,9 +27,15 @@ from ramsey_forge import (
     check_clique_free,
     export_graph,
     incidence_count,
+    projective_plane,
     random_packing,
 )
-from oracles import brute_force_adjacency, first_clique_brute, has_clique_brute
+from oracles import (
+    brute_force_adjacency,
+    export_by_edge_list,
+    first_clique_brute,
+    has_clique_brute,
+)
 
 # Keeps the m-subset enumeration of first_clique_brute at desk scale.
 MAX_ORACLE_VERTICES = 24
@@ -235,6 +244,53 @@ def test_export_of_edgeless_graph():
     design = Design(2, ((0, 1),), strength=2)
     g = build_gamma(OrderedDesign.id_order(design))
     assert export_graph(g, "dimacs") == b"p edge 2 0\n"
+    assert export_graph(g, "edge-json") == b'{"n":2,"edges":[]}\n'
+
+
+@st.composite
+def _graphs_with_isolated_vertices(draw):
+    """Symmetric graphs on 0-40 vertices, a random share of them isolated."""
+    n = draw(st.integers(0, 40))
+    density = draw(st.integers(0, 100))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    isolated = set(rng.sample(range(n), draw(st.integers(0, n))))
+    adjacency = [0] * n
+    for u, v in combinations(range(n), 2):
+        if u not in isolated and v not in isolated and rng.randrange(100) < density:
+            adjacency[u] |= 1 << v
+            adjacency[v] |= 1 << u
+    return IncidenceGraph(
+        vertices=tuple((i, i) for i in range(n)), adjacency=tuple(adjacency), m=3
+    )
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_graphs_with_isolated_vertices())
+def test_export_matches_edge_list_reference_on_random_graphs(g):
+    for fmt in EXPORT_FORMATS:
+        assert export_graph(g, fmt) == export_by_edge_list(g.adjacency, fmt)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_small_packings(strengths=(1, 2, 3, 4)))
+def test_export_matches_edge_list_reference_on_packing_graphs(od):
+    g = build_gamma(od)
+    for fmt in EXPORT_FORMATS:
+        assert export_graph(g, fmt) == export_by_edge_list(g.adjacency, fmt)
+
+
+def test_export_peak_memory_stays_near_the_output_size():
+    # the row chunks plus the joined output make about twice the output;
+    # formatting a full edge list first peaks at 17-20 times the output
+    g = build_gamma(OrderedDesign.random_order(projective_plane(11), 3))
+    for fmt in EXPORT_FORMATS:
+        tracemalloc.start()
+        try:
+            size = len(export_graph(g, fmt))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * size, (fmt, peak, size)
 
 
 def test_export_is_byte_stable(fano):

@@ -91,4 +91,8 @@ def test_traced_cli_matches_untraced_and_records_counts(tmp_path, capsys):
         + [{"subsets_registered": 21}] * 2
     )
     assert len(counts["incidence_graphs.graph_validate"]) == 3
+    # export_graph returns the file's bytes, which the span measures
+    assert counts["incidence_graphs.export_graph"] == [
+        {"export_bytes": len(plain[2][3])}
+    ]
     assert len(counts["cli.main"]) == 3
