@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Optional
+from heapq import heappop, heappush
+from typing import Iterator, Optional
 
 from .designs import Design, incidence_count
 from .incidence_graphs import IncidenceGraph, OrderedDesign, build_gamma
@@ -92,22 +93,36 @@ def largest_block_set(design: Design, g: IncidenceGraph) -> IndependentSet:
     return s
 
 
-def _clique_cover_bound(adjacency: tuple[int, ...], alive: int) -> int:
-    """Greedy clique cover of the induced subgraph; its size caps alpha."""
-    count = 0
-    rem = alive
-    while rem:
-        v_lsb = rem & -rem
-        v = v_lsb.bit_length() - 1
-        rem ^= v_lsb
-        cand = rem & adjacency[v]
-        while cand:
-            u_lsb = cand & -cand
-            u = u_lsb.bit_length() - 1
-            rem ^= u_lsb
-            cand = (cand ^ u_lsb) & adjacency[u]
-        count += 1
-    return count
+def _members(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, ascending."""
+    while mask:
+        lsb = mask & -mask
+        yield lsb.bit_length() - 1
+        mask ^= lsb
+
+
+def _min_degree_set(adjacency: tuple[int, ...], alive: int) -> int:
+    """Mask of an independent set that repeatedly takes a least-degree
+    residual vertex (ties toward the lowest index) and deletes its closed
+    neighbourhood.  Degrees are kept up to date edge by edge and the next
+    vertex comes off a heap whose stale entries are skipped, so the pass
+    costs O((vertices + edges) log vertices)."""
+    deg = {v: (adjacency[v] & alive).bit_count() for v in _members(alive)}
+    heap = sorted((d, v) for v, d in deg.items())
+    chosen = 0
+    while heap:
+        d, v = heappop(heap)
+        if deg.get(v) != d:
+            continue
+        chosen |= 1 << v
+        gone = (adjacency[v] & alive) | (1 << v)
+        alive ^= gone
+        for u in _members(gone):
+            del deg[u]
+            for w in _members(adjacency[u] & alive):
+                deg[w] -= 1
+                heappush(heap, (deg[w], w))
+    return chosen
 
 
 def exact_max_independent_set(
@@ -115,12 +130,16 @@ def exact_max_independent_set(
 ) -> IndependentSet:
     """Exact maximum independent set by branch-and-bound.
 
-    Branches on a maximum-degree vertex of the residual graph (ties broken
-    toward the lowest index): either include it and delete its closed
-    neighborhood, or exclude it.  Subproblems whose greedy-clique-cover cap
-    cannot beat the incumbent are pruned; once the residual graph has no
-    edges all of it is taken.  Fully deterministic, including the witness.
-    Graphs larger than ``vertex_budget`` are refused.
+    The incumbent starts as the min-degree greedy set.  Each node makes one
+    pass over the residual graph: a greedy clique cover that grows every
+    clique from the lowest remaining vertex, reading each vertex's residual
+    degree as it is visited.  The node is pruned when the cover cannot beat
+    the incumbent, and takes the whole residual set once it has no edges;
+    otherwise it branches on a maximum-degree vertex, include (delete its
+    closed neighbourhood) or exclude.  The nodes live on an explicit stack,
+    exclude child on top, so the depth is not bounded by the recursion
+    limit.  Fully deterministic, including the witness.  Graphs larger than
+    ``vertex_budget`` are refused.
     """
     n = g.n_vertices
     if n > vertex_budget:
@@ -128,44 +147,35 @@ def exact_max_independent_set(
             f"graph has {n} vertices, above the exact budget {vertex_budget}"
         )
     adj = g.adjacency
-    best_size = 0
-    best_mask = 0
-
-    def bnb(alive: int, chosen: int, size: int) -> None:
-        nonlocal best_size, best_mask
-        if alive == 0:
-            if size > best_size:
-                best_size, best_mask = size, chosen
-            return
-        if size + _clique_cover_bound(adj, alive) <= best_size:
-            return
-        branch = -1
-        branch_deg = -1
-        rest = alive
-        while rest:
-            lsb = rest & -rest
-            v = lsb.bit_length() - 1
-            rest ^= lsb
-            deg = (adj[v] & alive).bit_count()
-            if deg > branch_deg:
-                branch, branch_deg = v, deg
+    best_mask = _min_degree_set(adj, (1 << n) - 1)
+    best_size = best_mask.bit_count()
+    stack = [((1 << n) - 1, 0, 0)]
+    while stack:
+        alive, chosen, size = stack.pop()
+        cover = 0
+        branch, branch_deg = -1, 0
+        rem = alive
+        while rem:
+            cand = rem
+            while cand:
+                lsb = cand & -cand
+                v = lsb.bit_length() - 1
+                rem ^= lsb
+                row = adj[v]
+                deg = (row & alive).bit_count()
+                if deg > branch_deg:
+                    branch, branch_deg = v, deg
+                cand = (cand ^ lsb) & row
+            cover += 1
+        if size + cover <= best_size:
+            continue
         if branch_deg == 0:
-            size += alive.bit_count()
-            if size > best_size:
-                best_size, best_mask = size, chosen | alive
-            return
+            best_size, best_mask = size + cover, chosen | alive
+            continue
         bit = 1 << branch
-        bnb(alive & ~(adj[branch] | bit), chosen | bit, size + 1)
-        bnb(alive & ~bit, chosen, size)
-
-    bnb((1 << n) - 1, 0, 0)
-    members = []
-    rest = best_mask
-    while rest:
-        lsb = rest & -rest
-        members.append(lsb.bit_length() - 1)
-        rest ^= lsb
-    return IndependentSet(tuple(members), "exact")
+        stack.append((alive & ~(adj[branch] | bit), chosen | bit, size + 1))
+        stack.append((alive & ~bit, chosen, size))
+    return IndependentSet(tuple(_members(best_mask)), "exact")
 
 
 def upper_bound_alpha(design: Design) -> int:

@@ -190,6 +190,7 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     design = _load_design(args.design)
+    od, _seed = _make_ordered(design, args.order)
     try:
         report = validate_packing(design)
     except ValueError as exc:
@@ -200,7 +201,6 @@ def cmd_verify(args) -> int:
         print(f"verify failed: {first}", file=sys.stderr)
         return 1
     print("packing: valid")
-    od, _seed = _make_ordered(design, args.order)
     g = build_gamma(od)
     label = _clique_label(g.m)
     witness = check_clique_free(g, g.m)
@@ -287,11 +287,12 @@ def _parse_range(spec: str) -> tuple[int, int]:
 
 def cmd_sweep(args) -> int:
     lo, hi = _parse_range(args.n)
+    _check_construct_size(hi)
     rows = []
     for n in range(lo, hi + 1):
         design, _trace = trim_to_n(n)
         od, seed = _make_ordered(design, args.order)
-        g = build_gamma(od)
+        g = _build_graph(od, f"n={n}")
         if g.n_vertices != n:
             print(f"sweep failed at n={n}: {g.n_vertices} vertices", file=sys.stderr)
             return 1

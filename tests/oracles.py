@@ -4,8 +4,9 @@ Each oracle evaluates a definition directly: the edge predicate over all
 vertex pairs, independence over all 2**v vertex subsets, cliques over all
 vertex m-subsets, and the packing conditions over all block pairs.  They are
 deliberately slow and only usable at desk scale.  The greedy oracle keeps an
-earlier, procedural formulation of the greedy pass as a reference, and the
-export oracle the earlier exporter that formats one explicit edge list.
+earlier, procedural formulation of the greedy pass as a reference, the
+export oracle the earlier exporter that formats one explicit edge list, and
+the branch-and-bound oracle the earlier recursive exact solver.
 """
 
 import json
@@ -93,6 +94,68 @@ def enumerate_alpha(adjacency):
         conflict = (masks & np.uint32(row)) != 0
         ok &= ~((picked == 1) & conflict)
     return int(np.bitwise_count(masks[ok]).max())
+
+
+def _clique_cover_bound(adjacency, alive):
+    """Greedy clique cover of the induced subgraph; its size caps alpha."""
+    count = 0
+    rem = alive
+    while rem:
+        v_lsb = rem & -rem
+        v = v_lsb.bit_length() - 1
+        rem ^= v_lsb
+        cand = rem & adjacency[v]
+        while cand:
+            u_lsb = cand & -cand
+            u = u_lsb.bit_length() - 1
+            rem ^= u_lsb
+            cand = (cand ^ u_lsb) & adjacency[u]
+        count += 1
+    return count
+
+
+def exact_by_recursive_bnb(adjacency):
+    """A maximum independent set, ascending, by recursive branch-and-bound.
+
+    The library's earlier solver: branch on a maximum-degree residual vertex
+    (ties toward the lowest index), include before exclude, prune by the
+    greedy clique cover, starting from an empty incumbent.  The recursion
+    depth grows with the graph, so keep inputs to about a hundred vertices.
+    """
+    n = len(adjacency)
+    adj = adjacency
+    best_size = 0
+    best_mask = 0
+
+    def bnb(alive, chosen, size):
+        nonlocal best_size, best_mask
+        if alive == 0:
+            if size > best_size:
+                best_size, best_mask = size, chosen
+            return
+        if size + _clique_cover_bound(adj, alive) <= best_size:
+            return
+        branch = -1
+        branch_deg = -1
+        rest = alive
+        while rest:
+            lsb = rest & -rest
+            v = lsb.bit_length() - 1
+            rest ^= lsb
+            deg = (adj[v] & alive).bit_count()
+            if deg > branch_deg:
+                branch, branch_deg = v, deg
+        if branch_deg == 0:
+            size += alive.bit_count()
+            if size > best_size:
+                best_size, best_mask = size, chosen | alive
+            return
+        bit = 1 << branch
+        bnb(alive & ~(adj[branch] | bit), chosen | bit, size + 1)
+        bnb(alive & ~bit, chosen, size)
+
+    bnb((1 << n) - 1, 0, 0)
+    return tuple(v for v in range(n) if (best_mask >> v) & 1)
 
 
 def first_clique_brute(adjacency, m):

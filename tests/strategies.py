@@ -1,0 +1,47 @@
+"""Hypothesis strategies shared by the property tests.
+
+Every draw is seeded through hypothesis, so the derandomized tests that use
+these strategies see the same examples on every run.
+"""
+
+import random
+from itertools import combinations
+
+from hypothesis import strategies as st
+
+from ramsey_forge import IncidenceGraph, OrderedDesign, random_packing
+
+
+@st.composite
+def random_graphs(draw, max_n):
+    """Symmetric graphs on 0..max_n vertices, from edgeless to complete."""
+    n = draw(st.integers(0, max_n))
+    density = draw(st.integers(0, 100))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    adjacency = [0] * n
+    for u, v in combinations(range(n), 2):
+        if rng.randrange(100) < density:
+            adjacency[u] |= 1 << v
+            adjacency[v] |= 1 << u
+    return IncidenceGraph(
+        vertices=tuple((i, i) for i in range(n)), adjacency=tuple(adjacency), m=3
+    )
+
+
+@st.composite
+def packings(draw, strengths, max_vertices, max_extra_points=6):
+    """A seeded random packing with as many blocks as ``max_vertices``
+    incidences allow, under a random point order."""
+    strength = draw(st.sampled_from(strengths))
+    block_size = draw(st.integers(1, 6))
+    extra_points = draw(st.integers(0, max_extra_points))
+    # accepted blocks add block_size incidences each; the singleton blocks
+    # for uncovered points add at most extra_points more
+    design = random_packing(
+        block_size + extra_points,
+        block_size,
+        strength,
+        (max_vertices - extra_points) // block_size,
+        seed=draw(st.integers(0, 2**32)),
+    )
+    return OrderedDesign.random_order(design, draw(st.integers(0, 2**32)))

@@ -2,8 +2,10 @@
 
 The greedy set is pinned to one vertex per block on every instance and
 order; the exact branch-and-bound optimum is compared against full 2**v
-subset enumeration; all closed-form bounds are checked both on hand-worked
-values and as inequalities across constructed and random designs.
+subset enumeration on random graphs and against the earlier recursive solver
+on packing graphs under random orders; all closed-form bounds are checked
+both on hand-worked values and as inequalities across constructed and random
+designs.  The hypothesis properties run derandomized.
 """
 
 import math
@@ -35,7 +37,8 @@ from ramsey_forge import (
     upper_bound_alpha,
     verify_independent,
 )
-from oracles import enumerate_alpha, greedy_by_retiring_blocks
+from oracles import enumerate_alpha, exact_by_recursive_bnb, greedy_by_retiring_blocks
+from strategies import packings, random_graphs
 
 
 def _gamma(design, seed=None):
@@ -149,6 +152,25 @@ def test_exact_matches_enumeration_on_random_packings():
         od, g = _gamma(design)
         assert g.n_vertices <= 22
         assert exact_max_independent_set(g).size == enumerate_alpha(g.adjacency)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(random_graphs(16))
+def test_exact_matches_enumeration_on_random_graphs(g):
+    exact = exact_max_independent_set(g)
+    assert verify_independent(g, exact)
+    assert exact.size == enumerate_alpha(g.adjacency)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(packings((1, 2, 3, 4), max_vertices=100, max_extra_points=14))
+def test_exact_matches_recursive_solver_on_packing_graphs(od):
+    g = build_gamma(od)
+    exact = exact_max_independent_set(g, vertex_budget=100)
+    assert verify_independent(g, exact)
+    assert exact.size == len(exact_by_recursive_bnb(g.adjacency))
+    block = largest_block_set(od.design, g)
+    assert block.size <= exact.size <= upper_bound_alpha(od.design)
 
 
 def test_exact_refuses_graphs_over_budget(ag23):

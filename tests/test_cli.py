@@ -148,6 +148,15 @@ def test_verify_strength3_reports_k4(tmp_path, capsys):
     assert "K4-free: yes" in stdout
 
 
+def test_verify_parses_the_order_before_printing(tmp_path, capsys):
+    design = tmp_path / "fano.json"
+    run(["construct", "--family", "projective", "--p", "2", "--out", str(design)], capsys)
+    code, stdout, stderr = run(["verify", str(design), "--order", "bogus"], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert "invalid order spec 'bogus'" in stderr
+
+
 def test_verify_missing_file(tmp_path, capsys):
     code, _, stderr = run(["verify", str(tmp_path / "nope.json")], capsys)
     assert code == 2
@@ -189,6 +198,25 @@ def test_analyze_json_and_random_order(tmp_path, capsys):
     assert doc["greedy"] == 6
     assert doc["exact"] is not None
     assert doc["block"] <= doc["exact"] <= doc["upper"]
+
+
+def test_analyze_exact_search_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # gadgets {2i, 2i+1} and {2i}: 3,300 vertices holding a 1,100-edge matching
+    blocks = []
+    for i in range(1100):
+        blocks += [[2 * i, 2 * i + 1], [2 * i]]
+    design = tmp_path / "matching.json"
+    design.write_text(
+        json.dumps({"point_count": 2200, "strength": 2, "blocks": blocks})
+    )
+    code, stdout, _ = run(
+        ["analyze", str(design), "--exact-budget", "4000", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    doc = json.loads(stdout)
+    assert doc["n_vertices"] == 3300
+    assert doc["exact"] == 2200
 
 
 def test_analyze_rejects_bad_order_spec(tmp_path, capsys):
@@ -292,6 +320,20 @@ def test_sweep_rejects_zero(tmp_path, capsys):
     assert "n >= 1 required" in stderr
     code, _, stderr = run(["sweep", "--n", "5..3"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("400000..400000", "error: n=400000: design has 15549912 2-subsets to check"),
+        ("2000000..2000000", "error: design would have 2000000 incidences, above"),
+    ],
+)
+def test_sweep_stops_at_its_budgets(capsys, spec, message):
+    code, stdout, stderr = run(["sweep", "--n", spec], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith(message)
 
 
 def test_sweep_is_deterministic(tmp_path, capsys):

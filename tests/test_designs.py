@@ -11,6 +11,7 @@ Claims exercised here:
   - validity is invariant under block permutation and point relabeling
   - the subset scan refuses, in closed form and before any work, designs
     with more strength-subsets than MAX_REGISTERED_SUBSETS
+  - the design JSON round-trips every random packing of strength 1-4
 """
 
 import random
@@ -37,6 +38,7 @@ from ramsey_forge import (
     validate_packing,
 )
 from oracles import incidence_matrix_has_rectangle, naive_packing_valid
+from strategies import packings
 
 
 def test_fano_is_valid(fano_by_hand):
@@ -270,6 +272,15 @@ def test_json_round_trip(fano):
     text = design_to_json(fano)
     back = design_from_json(text)
     assert back == fano
+    assert design_to_json(back) == text
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(packings((1, 2, 3, 4), max_vertices=40))
+def test_json_round_trip_on_random_packings(od):
+    text = design_to_json(od.design)
+    back = design_from_json(text)
+    assert back == od.design
     assert design_to_json(back) == text
 
 

@@ -36,6 +36,7 @@ from oracles import (
     first_clique_brute,
     has_clique_brute,
 )
+from strategies import packings, random_graphs
 
 # Keeps the m-subset enumeration of first_clique_brute at desk scale.
 MAX_ORACLE_VERTICES = 24
@@ -110,27 +111,8 @@ def test_adjacency_matches_brute_force_edge_rule(fano, ag22, ag23, grid2):
             assert list(g.adjacency) == expected
 
 
-@st.composite
-def _small_packings(draw, strengths):
-    """A seeded random packing with as many blocks as MAX_ORACLE_VERTICES
-    incidences allow, under a random point order."""
-    strength = draw(st.sampled_from(strengths))
-    block_size = draw(st.integers(1, 6))
-    extra_points = draw(st.integers(0, 6))
-    # accepted blocks add block_size incidences each; the singleton blocks
-    # for uncovered points add at most extra_points more
-    design = random_packing(
-        block_size + extra_points,
-        block_size,
-        strength,
-        (MAX_ORACLE_VERTICES - extra_points) // block_size,
-        seed=draw(st.integers(0, 2**32)),
-    )
-    return OrderedDesign.random_order(design, draw(st.integers(0, 2**32)))
-
-
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(_small_packings(strengths=(1, 2, 3, 4)))
+@given(packings((1, 2, 3, 4), MAX_ORACLE_VERTICES))
 def test_adjacency_matches_brute_force_on_random_packings(od):
     g = build_gamma(od)
     assert list(g.adjacency) == brute_force_adjacency(od.design, od.order, g.vertices)
@@ -180,31 +162,15 @@ def test_planted_triangle_is_found():
                 assert (g.adjacency[u] >> v) & 1
 
 
-@st.composite
-def _random_graphs(draw):
-    """Symmetric graphs on 0-13 vertices, from edgeless to complete."""
-    n = draw(st.integers(0, 13))
-    density = draw(st.integers(0, 100))
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    adjacency = [0] * n
-    for u, v in combinations(range(n), 2):
-        if rng.randrange(100) < density:
-            adjacency[u] |= 1 << v
-            adjacency[v] |= 1 << u
-    return IncidenceGraph(
-        vertices=tuple((i, i) for i in range(n)), adjacency=tuple(adjacency), m=3
-    )
-
-
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(_random_graphs())
+@given(random_graphs(13))
 def test_clique_search_matches_enumeration_on_random_graphs(g):
     for m in range(1, 7):
         assert check_clique_free(g, m) == first_clique_brute(g.adjacency, m)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(_small_packings(strengths=(3, 4)))
+@given(packings((3, 4), MAX_ORACLE_VERTICES))
 def test_packing_graphs_are_clique_free_under_random_orders(od):
     g = build_gamma(od)
     assert g.n_vertices <= MAX_ORACLE_VERTICES
@@ -272,7 +238,7 @@ def test_export_matches_edge_list_reference_on_random_graphs(g):
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
-@given(_small_packings(strengths=(1, 2, 3, 4)))
+@given(packings((1, 2, 3, 4), MAX_ORACLE_VERTICES))
 def test_export_matches_edge_list_reference_on_packing_graphs(od):
     g = build_gamma(od)
     for fmt in EXPORT_FORMATS:
