@@ -53,7 +53,7 @@ def main():
         assert g.n_vertices == n
         witness = check_clique_free(g, 3)
         assert witness is None
-        greedy = greedy_independent_set(od, g)
+        greedy = greedy_independent_set(g)
         assert greedy.size == len(design.blocks)
         cap = any_n_alpha_cap(n)
         total = upper_bound_alpha(design)

@@ -38,7 +38,7 @@ def survey(strength, seeds, points, block_size, target):
         g = build_gamma(od)
         witness = check_clique_free(g, m)
         assert witness is None
-        greedy = greedy_independent_set(od, g)
+        greedy = greedy_independent_set(g)
         exact = exact_max_independent_set(g).size if g.n_vertices <= 64 else "-"
         upper = upper_bound_alpha(design)
         if isinstance(exact, int):

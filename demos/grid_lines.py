@@ -31,7 +31,7 @@ def main():
         od = OrderedDesign.id_order(design)
         g = build_gamma(od)
         assert check_clique_free(g, 3) is None
-        greedy = greedy_independent_set(od, g)
+        greedy = greedy_independent_set(g)
         assert greedy.size == N**3
         assert greedy.size**4 == g.n_vertices**3  # greedy = verts^(3/4)
         print(

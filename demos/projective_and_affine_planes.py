@@ -39,7 +39,7 @@ def survey(name, design):
     print(
         f"  {name:<10} {g.n_vertices:>6} {g.edge_count:>7} "
         f"{'yes' if witness is None else 'NO':>9} "
-        f"{greedy_independent_set(od, g).size:>7} "
+        f"{greedy_independent_set(g).size:>7} "
         f"{largest_block_set(design, g).size:>6} {str(exact):>6} "
         f"{upper_bound_alpha(design):>6} {str(chrom):>8}"
     )
@@ -77,7 +77,7 @@ def main():
         ):
             od = OrderedDesign.id_order(plane)
             g = build_gamma(od)
-            greedy = greedy_independent_set(od, g).size
+            greedy = greedy_independent_set(g).size
             cap = upper_bound_alpha(plane)
             assert 2 * greedy >= cap
             print(f"  {name:<10} greedy={greedy:<4} cap={cap:<4} ratio={greedy / cap:.3f}")

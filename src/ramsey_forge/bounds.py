@@ -17,7 +17,7 @@ from heapq import heappop, heappush
 from typing import Iterator, Optional
 
 from .designs import Design, incidence_count
-from .incidence_graphs import IncidenceGraph, OrderedDesign, build_gamma
+from .incidence_graphs import IncidenceGraph
 
 DEFAULT_EXACT_BUDGET = 64
 
@@ -55,24 +55,20 @@ def verify_independent(g: IncidenceGraph, s: IndependentSet) -> bool:
     return all((g.adjacency[v] & mask) == 0 for v in s.vertices)
 
 
-def greedy_independent_set(od: OrderedDesign, g: IncidenceGraph) -> IndependentSet:
+def greedy_independent_set(g: IncidenceGraph) -> IndependentSet:
     """One vertex per block: the incidence pair of its order-minimal point.
 
-    Two chosen pairs either share their point or the lower-ranked of the two
-    minima lies outside the other block (else it would be that block's
-    minimum), so the set is independent for any point order and has exactly
-    ``block_count`` vertices.
+    The vertices are listed by point rank, so one linear pass takes each
+    block's first pair in vertex order.  Two chosen pairs either share
+    their point or the lower-ranked of the two minima lies outside the
+    other block (else it would be that block's minimum), so the set is
+    independent for any point order and has exactly ``block_count``
+    vertices.
     """
-    rank = od.ranks()
-    return IndependentSet(
-        tuple(
-            sorted(
-                g.index_of(min(block, key=rank.__getitem__), bi)
-                for bi, block in enumerate(od.design.blocks)
-            )
-        ),
-        "greedy",
-    )
+    first: dict[int, int] = {}
+    for v, (_x, bi) in enumerate(g.vertices):
+        first.setdefault(bi, v)
+    return IndependentSet(tuple(first.values()), "greedy")
 
 
 def largest_block_set(design: Design, g: IncidenceGraph) -> IndependentSet:
@@ -86,7 +82,7 @@ def largest_block_set(design: Design, g: IncidenceGraph) -> IndependentSet:
         raise ValueError("design has no blocks")
     best = max(range(len(design.blocks)), key=lambda i: len(design.blocks[i]))
     s = IndependentSet(
-        tuple(sorted(g.index_of(x, best) for x in design.blocks[best])), "block"
+        tuple(v for v, (_x, bi) in enumerate(g.vertices) if bi == best), "block"
     )
     if not verify_independent(g, s):
         raise AssertionError("largest-block set failed its independence check")
@@ -283,18 +279,16 @@ class BoundsReport:
 
 
 def bounds_report(
-    od: OrderedDesign,
+    design: Design,
+    g: IncidenceGraph,
     *,
     family: str,
     param: str,
     order_seed: Optional[int] = None,
     exact_budget: int = DEFAULT_EXACT_BUDGET,
-    graph: Optional[IncidenceGraph] = None,
 ) -> BoundsReport:
-    """Assemble every bound for one ordered design into a report row."""
-    g = graph if graph is not None else build_gamma(od)
-    design = od.design
-    greedy = greedy_independent_set(od, g)
+    """Assemble every bound for a design and its graph into a report row."""
+    greedy = greedy_independent_set(g)
     block = largest_block_set(design, g)
     exact: Optional[int] = None
     if g.n_vertices <= exact_budget:

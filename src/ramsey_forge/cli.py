@@ -200,8 +200,8 @@ def cmd_verify(args) -> int:
         print(f"packing: invalid ({first})")
         print(f"verify failed: {first}", file=sys.stderr)
         return 1
+    g = _build_graph(od, args.design)
     print("packing: valid")
-    g = build_gamma(od)
     label = _clique_label(g.m)
     witness = check_clique_free(g, g.m)
     if witness is not None:
@@ -245,12 +245,12 @@ def cmd_analyze(args) -> int:
         (str(v) for v in (args.p, args.N, args.n) if v is not None), ""
     )
     row = bounds_report(
-        od,
+        design,
+        _build_graph(od, args.design),
         family=family,
         param=param,
         order_seed=seed,
         exact_budget=args.exact_budget,
-        graph=_build_graph(od, args.design),
     )
     _write_report_rows([row], args.format, args.out)
     return 0
@@ -301,12 +301,12 @@ def cmd_sweep(args) -> int:
             return 1
         try:
             row = bounds_report(
-                od,
+                design,
+                g,
                 family="trim",
                 param=str(n),
                 order_seed=seed,
                 exact_budget=args.exact_budget,
-                graph=g,
             )
         except ValueError as exc:
             print(f"sweep failed at n={n}: {exc}", file=sys.stderr)

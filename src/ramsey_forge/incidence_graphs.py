@@ -15,12 +15,16 @@ which makes common-neighborhood intersections single AND operations.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .designs import Design, validate_packing
+from .designs import Design, incidence_count, validate_packing
 
 EXPORT_FORMATS = ("dimacs", "edge-json")
+
+# build_gamma refuses designs with more incidence pairs than this: the bit
+# rows of a graph this size take at most vertices**2 / 8 bytes = 512 MiB.
+MAX_GRAPH_VERTICES = 2**16
 
 
 @dataclass(frozen=True)
@@ -50,28 +54,25 @@ class OrderedDesign:
         random.Random(seed).shuffle(order)
         return cls(design, tuple(order))
 
-    def ranks(self) -> list[int]:
-        """Inverse permutation: ranks()[point] is the point's position."""
-        rank = [0] * self.design.point_count
-        for r, x in enumerate(self.order):
-            rank[x] = r
-        return rank
-
 
 @dataclass(frozen=True)
 class IncidenceGraph:
     """Undirected graph on incidence pairs.
 
-    ``vertices[i]`` is the (point id, block index) pair of vertex i; vertices
-    are sorted by (point rank, block index) so exports are reproducible.
+    ``vertices[i]`` is the (point id, block index) pair of vertex i.
     ``adjacency[i]`` is a bit row over vertex indices;  ``m`` is the clique
     size the source design forbids (its strength + 1).
+
+    Layout contract: the vertex list is the graph's only index.  A graph
+    from :func:`build_gamma` lists its pairs by (point rank, block index),
+    so each point's pairs are consecutive and the first pair of a block in
+    vertex order belongs to that block's order-minimal point, which the
+    greedy independent set relies on.
     """
 
     vertices: tuple[tuple[int, int], ...]
     adjacency: tuple[int, ...]
     m: int
-    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", tuple(tuple(v) for v in self.vertices))
@@ -91,10 +92,8 @@ class IncidenceGraph:
                 rest ^= lsb
                 if not (self.adjacency[j] >> i) & 1:
                     raise ValueError(f"adjacency is not symmetric at ({i}, {j})")
-        index = {v: i for i, v in enumerate(self.vertices)}
-        if len(index) != n:
+        if len(set(self.vertices)) != n:
             raise ValueError("duplicate incidence pair among vertices")
-        object.__setattr__(self, "_index", index)
 
     @property
     def n_vertices(self) -> int:
@@ -104,54 +103,52 @@ class IncidenceGraph:
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adjacency) // 2
 
-    def index_of(self, point: int, block: int) -> int:
-        return self._index[(point, block)]
-
-    def degree(self, v: int) -> int:
-        return self.adjacency[v].bit_count()
-
 
 def build_gamma(od: OrderedDesign) -> IncidenceGraph:
     """Build the incidence graph of a validated ordered design.
 
-    Raises ValueError when the design fails :func:`validate_packing`.  The
-    vertex list enumerates points by ascending rank and, within a point, its
-    blocks by ascending index; the edge rule is applied in its symmetric
-    closure (an undirected edge for each ordered pair it admits).
+    Raises ValueError above ``MAX_GRAPH_VERTICES`` vertices or when the
+    design fails :func:`validate_packing`.  Vertices are listed by (point
+    rank, block index), so a point's pairs form one bit range, its fiber.
+    The row of (x, B1) is the fibers of B1's earlier points, OR the columns
+    (pair masks) of the blocks through x above x's fiber, minus B1's column.
     """
     design = od.design
+    n = incidence_count(design)
+    if n > MAX_GRAPH_VERTICES:
+        raise ValueError(
+            f"graph would have {n} vertices, above the cap of {MAX_GRAPH_VERTICES}"
+        )
     report = validate_packing(design)
     if not report.valid:
         raise ValueError(
             f"design violates the packing conditions "
             f"({report.total_violations} violation(s); first: {report.violations[0]})"
         )
-    rank = od.ranks()
     blocks_of: list[list[int]] = [[] for _ in range(design.point_count)]
     for bi, block in enumerate(design.blocks):
         for x in block:
             blocks_of[x].append(bi)
 
     vertices: list[tuple[int, int]] = []
+    column = [0] * len(design.blocks)
     for x in od.order:
         for bi in blocks_of[x]:
+            column[bi] |= 1 << len(vertices)
             vertices.append((x, bi))
-    index = {v: i for i, v in enumerate(vertices)}
 
-    adjacency = [0] * len(vertices)
-    for b2, block in enumerate(design.blocks):
-        members = sorted(block, key=rank.__getitem__)
-        for lo in range(len(members)):
-            x = members[lo]
-            x_blocks = blocks_of[x]
-            for hi in range(lo + 1, len(members)):
-                w = index[(members[hi], b2)]
-                for b1 in x_blocks:
-                    if b1 == b2:
-                        continue
-                    v = index[(x, b1)]
-                    adjacency[v] |= 1 << w
-                    adjacency[w] |= 1 << v
+    adjacency: list[int] = []
+    earlier = [0] * len(design.blocks)
+    for x in od.order:
+        x_blocks = blocks_of[x]
+        fiber = ((1 << len(x_blocks)) - 1) << len(adjacency)
+        later = 0
+        for bi in x_blocks:
+            later |= column[bi]
+        later &= -(1 << fiber.bit_length())
+        for bi in x_blocks:
+            adjacency.append((earlier[bi] | later) & ~column[bi])
+            earlier[bi] |= fiber
 
     return IncidenceGraph(
         vertices=tuple(vertices),

@@ -1,9 +1,4 @@
-import sys
-from pathlib import Path
-
 import pytest
-
-sys.path.insert(0, str(Path(__file__).parent))  # for the oracles module
 
 from ramsey_forge import Design, affine_plane, grid_line_design, projective_plane
 

@@ -6,7 +6,9 @@ vertex m-subsets, and the packing conditions over all block pairs.  They are
 deliberately slow and only usable at desk scale.  The greedy oracle keeps an
 earlier, procedural formulation of the greedy pass as a reference, the
 export oracle the earlier exporter that formats one explicit edge list, and
-the branch-and-bound oracle the earlier recursive exact solver.
+the branch-and-bound oracle the earlier recursive exact solver, and the
+block-pair oracle the earlier graph builder that sets both ends of every
+edge through a pair-to-index dict.
 """
 
 import json
@@ -42,6 +44,44 @@ def brute_force_adjacency(design, order, vertices):
             if lo_point in block_sets[hi_block]:
                 rows[i] |= 1 << j
     return rows
+
+
+def adjacency_by_block_pairs(design, order):
+    """Vertices and bit rows of the incidence graph, edge by edge.
+
+    For every block B2 and every pair of its members x < y (by rank), join
+    (y, B2) to each (x, B1) with B1 != B2.  Vertices are listed by (point
+    rank, block index).
+    """
+    rank = [0] * design.point_count
+    for r, x in enumerate(order):
+        rank[x] = r
+    blocks_of = [[] for _ in range(design.point_count)]
+    for bi, block in enumerate(design.blocks):
+        for x in block:
+            blocks_of[x].append(bi)
+
+    vertices = []
+    for x in order:
+        for bi in blocks_of[x]:
+            vertices.append((x, bi))
+    index = {v: i for i, v in enumerate(vertices)}
+
+    adjacency = [0] * len(vertices)
+    for b2, block in enumerate(design.blocks):
+        members = sorted(block, key=rank.__getitem__)
+        for lo in range(len(members)):
+            x = members[lo]
+            x_blocks = blocks_of[x]
+            for hi in range(lo + 1, len(members)):
+                w = index[(members[hi], b2)]
+                for b1 in x_blocks:
+                    if b1 == b2:
+                        continue
+                    v = index[(x, b1)]
+                    adjacency[v] |= 1 << w
+                    adjacency[w] |= 1 << v
+    return tuple(vertices), tuple(adjacency)
 
 
 def greedy_by_retiring_blocks(design, order, vertices):

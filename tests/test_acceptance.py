@@ -16,11 +16,13 @@ see them).  Criteria, in order:
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 from ramsey_forge import (
     OrderedDesign,
@@ -46,6 +48,8 @@ from ramsey_forge import (
     verify_independent,
 )
 from oracles import enumerate_alpha
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @contextmanager
@@ -75,7 +79,7 @@ def test_criterion_1_projective_family():
             od, g = _graph(plane)
             assert g.n_vertices == (p * p + p + 1) * (p + 1)
             assert check_clique_free(g, 3) is None
-            greedy = greedy_independent_set(od, g)
+            greedy = greedy_independent_set(g)
             assert greedy.size == p * p + p + 1
             assert verify_independent(g, greedy)
             assert upper_bound_alpha(plane) == 2 * (p * p + p + 1)
@@ -89,7 +93,7 @@ def test_criterion_2_affine_family():
             od, g = _graph(plane)
             assert g.n_vertices == p**3 + p**2
             assert check_clique_free(g, 3) is None
-            greedy = greedy_independent_set(od, g)
+            greedy = greedy_independent_set(g)
             assert greedy.size == p * p + p
             assert upper_bound_alpha(plane) == 2 * p * p + p
             if p in (2, 3):  # 12 and 36 vertices: exactly solvable
@@ -104,7 +108,7 @@ def test_criterion_3_any_n_family():
             od, g = _graph(design)
             assert g.n_vertices == n
             assert check_clique_free(g, 3) is None
-            greedy = greedy_independent_set(od, g)
+            greedy = greedy_independent_set(g)
             assert greedy.size == len(design.blocks)
             assert upper_bound_alpha(design) <= math.ceil(any_n_alpha_cap(n))
             assert trace.n <= trace.k**3 + trace.k**2 <= 6 * trace.n
@@ -118,7 +122,7 @@ def test_criterion_4_grid_family():
             od, g = _graph(design)
             assert g.n_vertices == N**4
             assert check_clique_free(g, 3) is None
-            greedy = greedy_independent_set(od, g)
+            greedy = greedy_independent_set(g)
             assert greedy.size == N**3
             # greedy equals vertices**(3/4) exactly, as an integer identity
             assert greedy.size**4 == g.n_vertices**3
@@ -165,7 +169,7 @@ def test_criterion_6_half_approximation():
             a, b = design.point_count, len(design.blocks)
             assert a <= b
             od, g = _graph(design)
-            greedy = greedy_independent_set(od, g)
+            greedy = greedy_independent_set(g)
             assert 2 * greedy.size >= upper_bound_alpha(design)
 
 
@@ -209,7 +213,7 @@ def test_criterion_9_order_robustness():
         for seed in range(20):
             od, g = _graph(plane, seed)
             assert check_clique_free(g, 3) is None
-            greedy = greedy_independent_set(od, g)
+            greedy = greedy_independent_set(g)
             assert greedy.size == 7
             alpha = exact_max_independent_set(g).size
             alphas.append(alpha)
@@ -227,6 +231,7 @@ def test_criterion_10_sweep_determinism(tmp_path):
                     sys.executable, "-m", "ramsey_forge", "sweep",
                     "--n", "1..100", "--out", str(path),
                 ],
+                env=dict(os.environ, PYTHONPATH=str(SRC)),
                 capture_output=True,
                 text=True,
             )

@@ -53,7 +53,7 @@ def _gamma(design, seed=None):
 def test_greedy_sizes_on_reference_designs(fano, ag23, grid2):
     for design, expected in ((fano, 7), (ag23, 12), (grid2, 8)):
         od, g = _gamma(design)
-        s = greedy_independent_set(od, g)
+        s = greedy_independent_set(g)
         assert s.size == expected == len(design.blocks)
         assert verify_independent(g, s)
 
@@ -65,7 +65,7 @@ def test_greedy_always_returns_one_vertex_per_block(fano, ag22, grid2):
     for design in designs:
         for seed in range(4):
             od, g = _gamma(design, seed)
-            s = greedy_independent_set(od, g)
+            s = greedy_independent_set(g)
             assert s.size == len(design.blocks)
             assert verify_independent(g, s)
 
@@ -86,7 +86,7 @@ def test_greedy_matches_retiring_pass_on_random_packings(
         block_size + extra_points, block_size, strength, target_blocks, seed
     )
     od, g = _gamma(design, order_seed)
-    greedy = greedy_independent_set(od, g)
+    greedy = greedy_independent_set(g)
     assert list(greedy.vertices) == greedy_by_retiring_blocks(
         design, od.order, g.vertices
     )
@@ -246,7 +246,7 @@ def test_sandwich_on_exactly_solved_instances(fano, ag22, ag23, grid2):
         a, b = design.point_count, len(design.blocks)
         assert b <= alpha <= a + b
         assert alpha >= math.ceil(a / b)
-        assert greedy_independent_set(od, g).size <= alpha
+        assert greedy_independent_set(g).size <= alpha
 
 
 def test_half_approximation_when_blocks_dominate(fano, ag22, ag23):
@@ -254,13 +254,13 @@ def test_half_approximation_when_blocks_dominate(fano, ag22, ag23):
         a, b = design.point_count, len(design.blocks)
         assert a <= b
         od, g = _gamma(design)
-        greedy = greedy_independent_set(od, g)
+        greedy = greedy_independent_set(g)
         assert 2 * greedy.size >= a + b
 
 
 def test_bounds_report_assembly(fano):
     od, g = _gamma(fano)
-    row = bounds_report(od, family="projective", param="2")
+    row = bounds_report(fano, g, family="projective", param="2")
     assert (row.n_vertices, row.a, row.b) == (21, 7, 7)
     assert (row.greedy, row.block, row.upper) == (7, 3, 14)
     assert row.chromatic_lb == Fraction(3, 2)
@@ -281,7 +281,7 @@ def test_bounds_report_assembly(fano):
 
 def test_bounds_report_skips_exact_over_budget(fano):
     od, g = _gamma(fano)
-    row = bounds_report(od, family="projective", param="2", exact_budget=10)
+    row = bounds_report(fano, g, family="projective", param="2", exact_budget=10)
     assert row.exact is None
     assert row.csv_row()[8] == ""
     assert row.as_dict()["exact"] is None

@@ -7,13 +7,17 @@ must produce byte-identical output files.
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from ramsey_forge import design_from_json, incidence_count, validate_packing
 from ramsey_forge.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(argv, capsys):
@@ -272,6 +276,28 @@ def test_oversized_subset_scan_is_a_usage_error(tmp_path, capsys, command):
     assert "above the cap of 10000000" in stderr
 
 
+@pytest.mark.parametrize("command", ["verify", "analyze", "export"])
+def test_oversized_graph_is_a_usage_error(tmp_path, capsys, command):
+    # 65,537 singleton blocks: a valid packing, one vertex over the graph cap
+    singletons = tmp_path / "singletons.json"
+    singletons.write_text(
+        json.dumps(
+            {
+                "point_count": 65537,
+                "strength": 1,
+                "blocks": [[x] for x in range(65537)],
+            }
+        )
+    )
+    code, stdout, stderr = run([command, str(singletons)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert stderr == (
+        f"error: {singletons}: graph would have 65537 vertices, "
+        "above the cap of 65536\n"
+    )
+
+
 def test_export_matches_library(tmp_path, capsys):
     from ramsey_forge import OrderedDesign, build_gamma, export_graph
 
@@ -325,7 +351,8 @@ def test_sweep_rejects_zero(tmp_path, capsys):
 @pytest.mark.parametrize(
     "spec, message",
     [
-        ("400000..400000", "error: n=400000: design has 15549912 2-subsets to check"),
+        ("400000..400000", "error: n=400000: graph would have 400000 vertices, above the cap of 65536"),
+        ("303067..303069", "error: n=303067: graph would have 303067 vertices, above the cap of 65536"),
         ("2000000..2000000", "error: design would have 2000000 incidences, above"),
     ],
 )
@@ -346,9 +373,11 @@ def test_sweep_is_deterministic(tmp_path, capsys):
 
 def test_console_entry_point(tmp_path):
     out = tmp_path / "fano.json"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-m", "ramsey_forge", "construct", "--family",
          "projective", "--p", "2", "--out", str(out)],
+        env=env,
         capture_output=True,
         text=True,
     )
@@ -357,6 +386,7 @@ def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "ramsey_forge", "construct", "--family",
          "projective"],
+        env=env,
         capture_output=True,
         text=True,
     )

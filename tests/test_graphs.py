@@ -26,14 +26,21 @@ from ramsey_forge import (
     build_gamma,
     check_clique_free,
     export_graph,
+    greedy_independent_set,
+    grid_line_design,
     incidence_count,
     projective_plane,
     random_packing,
+    trim_to_n,
 )
+from ramsey_forge import incidence_graphs
+from ramsey_forge.incidence_graphs import MAX_GRAPH_VERTICES
 from oracles import (
+    adjacency_by_block_pairs,
     brute_force_adjacency,
     export_by_edge_list,
     first_clique_brute,
+    greedy_by_retiring_blocks,
     has_clique_brute,
 )
 from strategies import packings, random_graphs
@@ -66,6 +73,24 @@ def test_build_gamma_rejects_invalid_designs():
     bad = Design(4, ((0, 1, 2), (0, 1, 3)), strength=2)
     with pytest.raises(ValueError, match="packing"):
         build_gamma(OrderedDesign.id_order(bad))
+
+
+def test_build_gamma_refuses_graphs_over_the_vertex_cap(fano, monkeypatch):
+    singletons = Design(
+        MAX_GRAPH_VERTICES + 1,
+        tuple((x,) for x in range(MAX_GRAPH_VERTICES + 1)),
+        strength=1,
+    )
+    with pytest.raises(
+        ValueError, match="graph would have 65537 vertices, above the cap of 65536"
+    ):
+        build_gamma(OrderedDesign.id_order(singletons))
+    # the count is the incidence count, checked before any row is built
+    monkeypatch.setattr(incidence_graphs, "MAX_GRAPH_VERTICES", 21)
+    assert build_gamma(OrderedDesign.id_order(fano)).n_vertices == 21
+    monkeypatch.setattr(incidence_graphs, "MAX_GRAPH_VERTICES", 20)
+    with pytest.raises(ValueError, match="21 vertices, above the cap of 20"):
+        build_gamma(OrderedDesign.id_order(fano))
 
 
 def test_ordered_design_requires_a_permutation(fano):
@@ -116,6 +141,30 @@ def test_adjacency_matches_brute_force_edge_rule(fano, ag22, ag23, grid2):
 def test_adjacency_matches_brute_force_on_random_packings(od):
     g = build_gamma(od)
     assert list(g.adjacency) == brute_force_adjacency(od.design, od.order, g.vertices)
+
+
+def test_build_gamma_matches_block_pair_builder_at_scale():
+    designs = [
+        projective_plane(7),
+        projective_plane(11),
+        affine_plane(7),
+        grid_line_design(3),
+        trim_to_n(777)[0],
+        random_packing(40, 6, 3, 80, seed=1),
+        random_packing(30, 6, 4, 120, seed=2),
+    ]
+    for design in designs:
+        orders = [OrderedDesign.id_order(design)] + [
+            OrderedDesign.random_order(design, seed) for seed in (1, 2)
+        ]
+        for od in orders:
+            g = build_gamma(od)
+            assert (g.vertices, g.adjacency) == adjacency_by_block_pairs(
+                design, od.order
+            )
+            assert list(greedy_independent_set(g).vertices) == (
+                greedy_by_retiring_blocks(design, od.order, g.vertices)
+            )
 
 
 def test_point_fibers_are_independent(fano):
