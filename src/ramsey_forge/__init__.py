@@ -39,6 +39,7 @@ from .designs import (
     Design,
     DuplicatedSubset,
     EmptyBlock,
+    InvalidPacking,
     UncoveredPoint,
     ValidationReport,
     design_from_json,
@@ -71,6 +72,7 @@ __all__ = [
     "EmptyBlock",
     "IncidenceGraph",
     "IndependentSet",
+    "InvalidPacking",
     "OrderedDesign",
     "TrimTrace",
     "UncoveredPoint",

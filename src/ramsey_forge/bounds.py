@@ -75,18 +75,14 @@ def largest_block_set(design: Design, g: IncidenceGraph) -> IndependentSet:
     """All incidence pairs of a maximum-cardinality block.
 
     Vertices sharing a block are never adjacent, so this is independent by
-    construction; it is re-verified here anyway rather than trusted.  Its
-    size is at least ceil(point_count / block_count) by pigeonhole.
+    construction.  By pigeonhole its size is at least ceil(points / blocks).
     """
     if not design.blocks:
         raise ValueError("design has no blocks")
     best = max(range(len(design.blocks)), key=lambda i: len(design.blocks[i]))
-    s = IndependentSet(
+    return IndependentSet(
         tuple(v for v, (_x, bi) in enumerate(g.vertices) if bi == best), "block"
     )
-    if not verify_independent(g, s):
-        raise AssertionError("largest-block set failed its independence check")
-    return s
 
 
 def _members(mask: int) -> Iterator[int]:
@@ -236,22 +232,6 @@ class BoundsReport:
     chromatic_lb: Fraction
     ravsky_lb: float
 
-    CSV_FIELDS = (
-        "family",
-        "param",
-        "order_seed",
-        "n_vertices",
-        "a",
-        "b",
-        "greedy",
-        "block",
-        "exact",
-        "upper",
-        "chromatic_lb_num",
-        "chromatic_lb_den",
-        "ravsky_lb",
-    )
-
     def __post_init__(self) -> None:
         if self.greedy != self.b:
             raise ValueError("greedy set size must equal the block count")
@@ -287,12 +267,16 @@ def bounds_report(
     order_seed: Optional[int] = None,
     exact_budget: int = DEFAULT_EXACT_BUDGET,
 ) -> BoundsReport:
-    """Assemble every bound for a design and its graph into a report row."""
+    """Assemble every bound for a design and its graph into a report row,
+    checking each reported independent set against ``g`` (AssertionError)."""
     greedy = greedy_independent_set(g)
     block = largest_block_set(design, g)
-    exact: Optional[int] = None
+    exact: Optional[IndependentSet] = None
     if g.n_vertices <= exact_budget:
-        exact = exact_max_independent_set(g, exact_budget).size
+        exact = exact_max_independent_set(g, exact_budget)
+    for s in (greedy, block, exact):
+        if s is not None and not verify_independent(g, s):
+            raise AssertionError(f"{s.source} set failed its independence check")
     return BoundsReport(
         family=family,
         param=param,
@@ -302,7 +286,7 @@ def bounds_report(
         b=len(design.blocks),
         greedy=greedy.size,
         block=block.size,
-        exact=exact,
+        exact=None if exact is None else exact.size,
         upper=upper_bound_alpha(design),
         chromatic_lb=chromatic_lower_bound(design),
         ravsky_lb=ravsky_lower_bound(g.n_vertices),

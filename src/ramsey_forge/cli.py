@@ -22,7 +22,6 @@ from typing import Optional
 
 from .bounds import (
     DEFAULT_EXACT_BUDGET,
-    BoundsReport,
     any_n_alpha_cap,
     bounds_report,
     ravsky_quadratic_check,
@@ -37,16 +36,14 @@ from .constructions import (
 )
 from .designs import (
     Design,
-    DuplicatedSubset,
-    EmptyBlock,
-    UncoveredPoint,
+    InvalidPacking,
     design_from_json,
     design_to_json,
     incidence_count,
-    validate_packing,
 )
 from .incidence_graphs import (
     EXPORT_FORMATS,
+    MAX_GRAPH_VERTICES,
     IncidenceGraph,
     OrderedDesign,
     build_gamma,
@@ -81,9 +78,16 @@ def _load_design(path: str) -> Design:
     except OSError as exc:
         raise UsageError(f"cannot read design file {path}: {exc}")
     try:
-        return design_from_json(text)
+        design = design_from_json(text)
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}")
+    # a valid packing covers every point, so its graph has >= point_count vertices
+    if design.point_count > MAX_GRAPH_VERTICES:
+        raise UsageError(
+            f"{path}: design has {design.point_count} points, above the graph "
+            f"cap of {MAX_GRAPH_VERTICES}"
+        )
+    return design
 
 
 def _make_ordered(design: Design, spec: str) -> tuple[OrderedDesign, Optional[int]]:
@@ -106,18 +110,6 @@ def _build_graph(od: OrderedDesign, path: str) -> IncidenceGraph:
         return build_gamma(od)
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}")
-
-
-def _describe_violation(v) -> str:
-    if isinstance(v, EmptyBlock):
-        return f"block {v.block} is empty"
-    if isinstance(v, UncoveredPoint):
-        return f"point {v.point} lies in no block"
-    if isinstance(v, DuplicatedSubset):
-        pts = "{" + ", ".join(str(p) for p in v.points) + "}"
-        kind = "pair" if len(v.points) == 2 else "subset"
-        return f"{kind} {pts} in blocks {v.first_block} and {v.second_block}"
-    return str(v)
 
 
 def _clique_label(m: int) -> str:
@@ -192,15 +184,14 @@ def cmd_verify(args) -> int:
     design = _load_design(args.design)
     od, _seed = _make_ordered(design, args.order)
     try:
-        report = validate_packing(design)
-    except ValueError as exc:
-        raise UsageError(f"{args.design}: {exc}")
-    if not report.valid:
-        first = _describe_violation(report.violations[0])
+        g = build_gamma(od)
+    except InvalidPacking as exc:
+        first = exc.report.violations[0]
         print(f"packing: invalid ({first})")
         print(f"verify failed: {first}", file=sys.stderr)
         return 1
-    g = _build_graph(od, args.design)
+    except ValueError as exc:
+        raise UsageError(f"{args.design}: {exc}")
     print("packing: valid")
     label = _clique_label(g.m)
     witness = check_clique_free(g, g.m)
@@ -222,9 +213,8 @@ def _write_report_rows(rows, fmt: str, out: Optional[str]) -> None:
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(BoundsReport.CSV_FIELDS)
-        for row in rows:
-            writer.writerow(row.csv_row())
+        writer.writerow(rows[0].as_dict().keys())
+        writer.writerows(row.csv_row() for row in rows)
         payload = buf.getvalue()
     else:
         docs = [row.as_dict() for row in rows]
@@ -287,7 +277,11 @@ def _parse_range(spec: str) -> tuple[int, int]:
 
 def cmd_sweep(args) -> int:
     lo, hi = _parse_range(args.n)
-    _check_construct_size(hi)
+    if hi > MAX_GRAPH_VERTICES:  # a trim of size n has exactly n vertices
+        raise UsageError(
+            f"n={hi}: graph would have {hi} vertices, above the cap of "
+            f"{MAX_GRAPH_VERTICES}"
+        )
     rows = []
     for n in range(lo, hi + 1):
         design, _trace = trim_to_n(n)

@@ -33,12 +33,18 @@ class EmptyBlock:
 
     block: int
 
+    def __str__(self) -> str:
+        return f"block {self.block} is empty"
+
 
 @dataclass(frozen=True)
 class UncoveredPoint:
     """Witness: point ``point`` lies in no block."""
 
     point: int
+
+    def __str__(self) -> str:
+        return f"point {self.point} lies in no block"
 
 
 @dataclass(frozen=True)
@@ -48,6 +54,11 @@ class DuplicatedSubset:
     points: tuple[int, ...]
     first_block: int
     second_block: int
+
+    def __str__(self) -> str:
+        kind = "pair" if len(self.points) == 2 else "subset"
+        points = "{" + ", ".join(map(str, self.points)) + "}"
+        return f"{kind} {points} in blocks {self.first_block} and {self.second_block}"
 
 
 Violation = Union[EmptyBlock, UncoveredPoint, DuplicatedSubset]
@@ -108,6 +119,17 @@ class ValidationReport:
             raise ValueError("valid flag inconsistent with violation count")
         if self.valid and self.violations:
             raise ValueError("a valid report cannot carry witnesses")
+
+
+class InvalidPacking(ValueError):
+    """A design failed :func:`validate_packing`; ``report`` says how."""
+
+    def __init__(self, report: ValidationReport) -> None:
+        super().__init__(
+            f"design violates the packing conditions ({report.total_violations} "
+            f"violation(s); first: {report.violations[0]})"
+        )
+        self.report = report
 
 
 def _duplicated_subsets(

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .designs import Design, incidence_count, validate_packing
+from .designs import Design, InvalidPacking, incidence_count, validate_packing
 
 EXPORT_FORMATS = ("dimacs", "edge-json")
 
@@ -107,8 +107,8 @@ class IncidenceGraph:
 def build_gamma(od: OrderedDesign) -> IncidenceGraph:
     """Build the incidence graph of a validated ordered design.
 
-    Raises ValueError above ``MAX_GRAPH_VERTICES`` vertices or when the
-    design fails :func:`validate_packing`.  Vertices are listed by (point
+    Raises ValueError above ``MAX_GRAPH_VERTICES`` vertices, InvalidPacking
+    when :func:`validate_packing` fails.  Vertices are listed by (point
     rank, block index), so a point's pairs form one bit range, its fiber.
     The row of (x, B1) is the fibers of B1's earlier points, OR the columns
     (pair masks) of the blocks through x above x's fiber, minus B1's column.
@@ -121,10 +121,7 @@ def build_gamma(od: OrderedDesign) -> IncidenceGraph:
         )
     report = validate_packing(design)
     if not report.valid:
-        raise ValueError(
-            f"design violates the packing conditions "
-            f"({report.total_violations} violation(s); first: {report.violations[0]})"
-        )
+        raise InvalidPacking(report)
     blocks_of: list[list[int]] = [[] for _ in range(design.point_count)]
     for bi, block in enumerate(design.blocks):
         for x in block:

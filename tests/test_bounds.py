@@ -37,6 +37,7 @@ from ramsey_forge import (
     upper_bound_alpha,
     verify_independent,
 )
+from ramsey_forge import bounds
 from oracles import enumerate_alpha, exact_by_recursive_bnb, greedy_by_retiring_blocks
 from strategies import packings, random_graphs
 
@@ -268,15 +269,35 @@ def test_bounds_report_assembly(fano):
     assert row.order_seed is None
 
     csv_row = row.csv_row()
-    assert len(csv_row) == len(BoundsReport.CSV_FIELDS)
     assert csv_row == [
         "projective", "2", "", "21", "7", "7", "7", "3", "11", "14", "3", "2",
         "7.7508111640680974",
     ]
 
     doc = row.as_dict()
-    assert list(doc) == list(BoundsReport.CSV_FIELDS)
+    assert list(doc) == [
+        "family", "param", "order_seed", "n_vertices", "a", "b", "greedy",
+        "block", "exact", "upper", "chromatic_lb_num", "chromatic_lb_den",
+        "ravsky_lb",
+    ]
     assert doc["chromatic_lb_num"] == 3 and doc["chromatic_lb_den"] == 2
+
+
+@pytest.mark.parametrize(
+    "builder, source",
+    [
+        ("greedy_independent_set", "greedy"),
+        ("largest_block_set", "block"),
+        ("exact_max_independent_set", "exact"),
+    ],
+)
+def test_bounds_report_checks_every_reported_set(fano, monkeypatch, builder, source):
+    od, g = _gamma(fano)
+    neighbour = (g.adjacency[0] & -g.adjacency[0]).bit_length() - 1
+    broken = IndependentSet((0, neighbour), source)
+    monkeypatch.setattr(bounds, builder, lambda *args: broken)
+    with pytest.raises(AssertionError, match=f"{source} set failed"):
+        bounds_report(fano, g, family="projective", param="2")
 
 
 def test_bounds_report_skips_exact_over_budget(fano):

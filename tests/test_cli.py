@@ -132,9 +132,8 @@ def test_verify_reports_duplicated_pair(tmp_path, capsys):
     )
     code, stdout, stderr = run(["verify", str(bad)], capsys)
     assert code == 1
-    assert "packing: invalid" in stdout
-    assert "pair {0, 1} in blocks 0 and 1" in stdout
-    assert "verify failed" in stderr
+    assert stdout == "packing: invalid (pair {0, 1} in blocks 0 and 1)\n"
+    assert stderr == "verify failed: pair {0, 1} in blocks 0 and 1\n"
 
 
 def test_verify_strength3_reports_k4(tmp_path, capsys):
@@ -177,7 +176,12 @@ def test_analyze_csv(tmp_path, capsys):
         capsys,
     )
     assert code == 0
-    rows = list(csv.DictReader(report.read_text().splitlines()))
+    lines = report.read_text().splitlines()
+    assert lines[0] == (
+        "family,param,order_seed,n_vertices,a,b,greedy,block,exact,upper,"
+        "chromatic_lb_num,chromatic_lb_den,ravsky_lb"
+    )
+    rows = list(csv.DictReader(lines))
     assert len(rows) == 1
     row = rows[0]
     assert row["family"] == "projective" and row["param"] == "2"
@@ -257,8 +261,28 @@ def test_invalid_design_is_a_usage_error(tmp_path, capsys, command):
     code, stdout, stderr = run([command, str(bad)], capsys)
     assert code == 2
     assert stdout == ""
-    assert stderr.startswith(
-        f"error: {bad}: design violates the packing conditions"
+    assert stderr == (
+        f"error: {bad}: design violates the packing conditions "
+        "(1 violation(s); first: pair {0, 1} in blocks 0 and 1)\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze", "export"])
+@pytest.mark.parametrize("points", [65537, 10**12])
+def test_design_with_more_points_than_the_graph_cap_is_a_usage_error(
+    tmp_path, capsys, command, points
+):
+    # a valid packing covers every point, so no such design has a graph
+    # under the cap; it is refused before the point order is built
+    big = tmp_path / "big.json"
+    big.write_text(
+        json.dumps({"point_count": points, "strength": 2, "blocks": [[0, 1]]})
+    )
+    code, stdout, stderr = run([command, str(big)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert stderr == (
+        f"error: {big}: design has {points} points, above the graph cap of 65536\n"
     )
 
 
@@ -278,14 +302,15 @@ def test_oversized_subset_scan_is_a_usage_error(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["verify", "analyze", "export"])
 def test_oversized_graph_is_a_usage_error(tmp_path, capsys, command):
-    # 65,537 singleton blocks: a valid packing, one vertex over the graph cap
+    # 65,535 singleton blocks and the pair {65534, 65535}: a valid packing
+    # on 65,536 points (at the point gate), one vertex over the graph cap
     singletons = tmp_path / "singletons.json"
     singletons.write_text(
         json.dumps(
             {
-                "point_count": 65537,
-                "strength": 1,
-                "blocks": [[x] for x in range(65537)],
+                "point_count": 65536,
+                "strength": 2,
+                "blocks": [[x] for x in range(65535)] + [[65534, 65535]],
             }
         )
     )
@@ -349,18 +374,18 @@ def test_sweep_rejects_zero(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "spec, message",
-    [
-        ("400000..400000", "error: n=400000: graph would have 400000 vertices, above the cap of 65536"),
-        ("303067..303069", "error: n=303067: graph would have 303067 vertices, above the cap of 65536"),
-        ("2000000..2000000", "error: design would have 2000000 incidences, above"),
-    ],
+    "spec", ["400000..400000", "303067..303069", "2000000..2000000", "1..65537"]
 )
-def test_sweep_stops_at_its_budgets(capsys, spec, message):
+def test_sweep_stops_at_its_budgets(capsys, spec):
+    # a trim of size n has exactly n vertices, so the upper end is checked
+    # against the graph cap before any n is built
+    hi = spec.split("..")[1]
     code, stdout, stderr = run(["sweep", "--n", spec], capsys)
     assert code == 2
     assert stdout == ""
-    assert stderr.startswith(message)
+    assert stderr == (
+        f"error: n={hi}: graph would have {hi} vertices, above the cap of 65536\n"
+    )
 
 
 def test_sweep_is_deterministic(tmp_path, capsys):

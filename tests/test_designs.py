@@ -12,6 +12,7 @@ Claims exercised here:
   - the subset scan refuses, in closed form and before any work, designs
     with more strength-subsets than MAX_REGISTERED_SUBSETS
   - the design JSON round-trips every random packing of strength 1-4
+  - each witness kind prints as the sentence verify and the errors show
 """
 
 import random
@@ -70,6 +71,20 @@ def test_uncovered_point_reported():
     design = Design(3, ((0, 1),), strength=2)
     report = validate_packing(design)
     assert report.violations == (UncoveredPoint(2),)
+
+
+@pytest.mark.parametrize(
+    "witness, text",
+    [
+        (EmptyBlock(1), "block 1 is empty"),
+        (UncoveredPoint(2), "point 2 lies in no block"),
+        (DuplicatedSubset((1,), 0, 1), "subset {1} in blocks 0 and 1"),
+        (DuplicatedSubset((0, 1), 0, 1), "pair {0, 1} in blocks 0 and 1"),
+        (DuplicatedSubset((0, 1, 2), 3, 5), "subset {0, 1, 2} in blocks 3 and 5"),
+    ],
+)
+def test_witness_str(witness, text):
+    assert str(witness) == text
 
 
 def test_witness_list_truncates_but_total_is_exact():

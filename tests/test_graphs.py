@@ -21,6 +21,7 @@ from ramsey_forge import (
     EXPORT_FORMATS,
     Design,
     IncidenceGraph,
+    InvalidPacking,
     OrderedDesign,
     affine_plane,
     build_gamma,
@@ -32,6 +33,7 @@ from ramsey_forge import (
     projective_plane,
     random_packing,
     trim_to_n,
+    validate_packing,
 )
 from ramsey_forge import incidence_graphs
 from ramsey_forge.incidence_graphs import MAX_GRAPH_VERTICES
@@ -73,6 +75,18 @@ def test_build_gamma_rejects_invalid_designs():
     bad = Design(4, ((0, 1, 2), (0, 1, 3)), strength=2)
     with pytest.raises(ValueError, match="packing"):
         build_gamma(OrderedDesign.id_order(bad))
+
+
+def test_build_gamma_raises_invalid_packing_with_the_report():
+    bad = Design(5, ((0, 1, 2), (0, 1, 3), (2, 3)), strength=2)
+    with pytest.raises(InvalidPacking) as exc:
+        build_gamma(OrderedDesign.id_order(bad))
+    assert isinstance(exc.value, ValueError)
+    assert exc.value.report == validate_packing(bad)
+    assert str(exc.value) == (
+        "design violates the packing conditions "
+        "(2 violation(s); first: point 4 lies in no block)"
+    )
 
 
 def test_build_gamma_refuses_graphs_over_the_vertex_cap(fano, monkeypatch):

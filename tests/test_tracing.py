@@ -84,12 +84,13 @@ def test_traced_cli_matches_untraced_and_records_counts(tmp_path, capsys):
         fano_graph,
         fano_graph,
     ]
-    # verify validates the packing itself and again inside build_gamma
+    # the packing is validated once per graph command, inside build_gamma
     packing_subsets = sum(comb(len(b), 4) for b in packing.blocks)
     assert counts["designs.validate_packing"] == (
-        [{"subsets_registered": packing_subsets}] * 2
+        [{"subsets_registered": packing_subsets}]
         + [{"subsets_registered": 21}] * 2
     )
+    assert counts["bounds.exact_max_independent_set"] == [{"exact_alpha": 11}]
     assert len(counts["incidence_graphs.graph_validate"]) == 3
     # export_graph returns the file's bytes, which the span measures
     assert counts["incidence_graphs.export_graph"] == [
