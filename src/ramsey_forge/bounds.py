@@ -62,8 +62,8 @@ def greedy_independent_set(g: IncidenceGraph) -> IndependentSet:
     block's first pair in vertex order.  Two chosen pairs either share
     their point or the lower-ranked of the two minima lies outside the
     other block (else it would be that block's minimum), so the set is
-    independent for any point order and has exactly ``block_count``
-    vertices.
+    independent for any point order and has exactly one vertex per
+    block.
     """
     first: dict[int, int] = {}
     for v, (_x, bi) in enumerate(g.vertices):

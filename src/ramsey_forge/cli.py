@@ -43,9 +43,9 @@ from .designs import (
 )
 from .incidence_graphs import (
     EXPORT_FORMATS,
-    MAX_GRAPH_VERTICES,
     IncidenceGraph,
     OrderedDesign,
+    _check_graph_size,
     build_gamma,
     check_clique_free,
     export_graph,
@@ -53,9 +53,6 @@ from .incidence_graphs import (
 
 SEED_ENV_VAR = "RAMSEY_FORGE_SEED"
 DEFAULT_SEED = 0
-
-# construct refuses designs whose closed-form incidence count exceeds this.
-MAX_CONSTRUCT_INCIDENCES = 10**6
 
 
 class UsageError(Exception):
@@ -75,19 +72,19 @@ def _default_seed() -> int:
 def _load_design(path: str) -> Design:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read design file {path}: {exc}")
     try:
-        design = design_from_json(text)
+        return design_from_json(text)
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}")
-    # a valid packing covers every point, so its graph has >= point_count vertices
-    if design.point_count > MAX_GRAPH_VERTICES:
-        raise UsageError(
-            f"{path}: design has {design.point_count} points, above the graph "
-            f"cap of {MAX_GRAPH_VERTICES}"
-        )
-    return design
+
+
+def _write(path: Path, data: str | bytes) -> None:
+    try:
+        (path.write_bytes if isinstance(data, bytes) else path.write_text)(data)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}")
 
 
 def _make_ordered(design: Design, spec: str) -> tuple[OrderedDesign, Optional[int]]:
@@ -105,9 +102,10 @@ def _make_ordered(design: Design, spec: str) -> tuple[OrderedDesign, Optional[in
     raise UsageError(f"invalid order spec {spec!r} (expected id or random:<seed>)")
 
 
-def _build_graph(od: OrderedDesign, path: str) -> IncidenceGraph:
+def _build_graph(design: Design, spec: str, path: str) -> tuple[IncidenceGraph, Optional[int]]:
     try:
-        return build_gamma(od)
+        od, seed = _make_ordered(design, spec)
+        return build_gamma(od), seed
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}")
 
@@ -122,31 +120,23 @@ def _require(value, flag: str):
     return value
 
 
-def _check_construct_size(incidences: int) -> None:
-    if incidences > MAX_CONSTRUCT_INCIDENCES:
-        raise UsageError(
-            f"design would have {incidences} incidences, above the "
-            f"construct cap of {MAX_CONSTRUCT_INCIDENCES}"
-        )
-
-
 def _construct_family(args) -> tuple[Design, Optional[TrimTrace]]:
     family = args.family
     if family == "projective":
         p = _require(args.p, "--p")
-        _check_construct_size((p * p + p + 1) * (p + 1))
+        _check_graph_size((p * p + p + 1) * (p + 1))
         return projective_plane(p), None
     if family == "affine":
         p = _require(args.p, "--p")
-        _check_construct_size(p**3 + p**2)
+        _check_graph_size(p**3 + p**2)
         return affine_plane(p), None
     if family == "grid":
         N = _require(args.N, "--N")
-        _check_construct_size(N**4)
+        _check_graph_size(N**4)
         return grid_line_design(N), None
     if family == "trim":
         n = _require(args.n, "--n")
-        _check_construct_size(n)
+        _check_graph_size(n)
         return trim_to_n(n)
     if family == "random":
         points = _require(args.points, "--points")
@@ -154,7 +144,7 @@ def _construct_family(args) -> tuple[Design, Optional[TrimTrace]]:
         strength = _require(args.strength, "--strength")
         blocks = _require(args.blocks, "--blocks")
         seed = args.seed if args.seed is not None else _default_seed()
-        _check_construct_size(blocks * block_size + points)
+        _check_graph_size(blocks * block_size + points)
         return random_packing(points, block_size, strength, blocks, seed), None
     raise UsageError(f"unknown family {family!r}")
 
@@ -165,7 +155,7 @@ def cmd_construct(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     out = Path(args.out)
-    out.write_text(design_to_json(design))
+    _write(out, design_to_json(design))
     if trace is not None:
         trace_path = (
             Path(args.trace_out)
@@ -173,7 +163,7 @@ def cmd_construct(args) -> int:
             else out.with_suffix(".trace.json")
         )
         doc = json.dumps(asdict(trace), separators=(",", ":"))
-        trace_path.write_text(doc + "\n")
+        _write(trace_path, doc + "\n")
     print(f"points: {design.point_count}")
     print(f"blocks: {len(design.blocks)}")
     print(f"incidences: {incidence_count(design)}")
@@ -182,8 +172,8 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     design = _load_design(args.design)
-    od, _seed = _make_ordered(design, args.order)
     try:
+        od, _seed = _make_ordered(design, args.order)
         g = build_gamma(od)
     except InvalidPacking as exc:
         first = exc.report.violations[0]
@@ -222,21 +212,21 @@ def _write_report_rows(rows, fmt: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(payload)
     else:
-        Path(out).write_text(payload)
+        _write(Path(out), payload)
 
 
 def cmd_analyze(args) -> int:
     design = _load_design(args.design)
     if not design.blocks:
         raise UsageError(f"{args.design}: design has no blocks to analyze")
-    od, seed = _make_ordered(design, args.order)
+    g, seed = _build_graph(design, args.order, args.design)
     family = args.family if args.family else Path(args.design).stem
     param = next(
         (str(v) for v in (args.p, args.N, args.n) if v is not None), ""
     )
     row = bounds_report(
         design,
-        _build_graph(od, args.design),
+        g,
         family=family,
         param=param,
         order_seed=seed,
@@ -248,12 +238,12 @@ def cmd_analyze(args) -> int:
 
 def cmd_export(args) -> int:
     design = _load_design(args.design)
-    od, _seed = _make_ordered(design, args.order)
-    data = export_graph(_build_graph(od, args.design), args.format)
+    g, _seed = _build_graph(design, args.order, args.design)
+    data = export_graph(g, args.format)
     if args.out is None:
         sys.stdout.buffer.write(data)
     else:
-        Path(args.out).write_bytes(data)
+        _write(Path(args.out), data)
     return 0
 
 
@@ -277,16 +267,14 @@ def _parse_range(spec: str) -> tuple[int, int]:
 
 def cmd_sweep(args) -> int:
     lo, hi = _parse_range(args.n)
-    if hi > MAX_GRAPH_VERTICES:  # a trim of size n has exactly n vertices
-        raise UsageError(
-            f"n={hi}: graph would have {hi} vertices, above the cap of "
-            f"{MAX_GRAPH_VERTICES}"
-        )
+    try:
+        _check_graph_size(hi)  # a trim of size n has exactly n vertices
+    except ValueError as exc:
+        raise UsageError(f"n={hi}: {exc}")
     rows = []
     for n in range(lo, hi + 1):
         design, _trace = trim_to_n(n)
-        od, seed = _make_ordered(design, args.order)
-        g = _build_graph(od, f"n={n}")
+        g, seed = _build_graph(design, args.order, f"n={n}")
         if g.n_vertices != n:
             print(f"sweep failed at n={n}: {g.n_vertices} vertices", file=sys.stderr)
             return 1

@@ -96,10 +96,6 @@ class Design:
             if len(self.labels) != self.point_count:
                 raise ValueError("labels length must equal point_count")
 
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -162,7 +158,7 @@ def validate_packing(design: Design) -> ValidationReport:
     check registers each block's ``strength``-subsets in a hash map keyed by
     the sorted id tuple, so the cost is linear in the number of registered
     subsets (for strength 2: the per-block pair counts), never in
-    ``point_count**2 * block_count``.  A design with more than
+    ``point_count**2 * len(blocks)``.  A design with more than
     ``MAX_REGISTERED_SUBSETS`` subsets to register raises ValueError.
 
     Structural problems (ids out of range, non-ascending blocks) are errors

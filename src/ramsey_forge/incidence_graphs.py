@@ -22,9 +22,26 @@ from .designs import Design, InvalidPacking, incidence_count, validate_packing
 
 EXPORT_FORMATS = ("dimacs", "edge-json")
 
-# build_gamma refuses designs with more incidence pairs than this: the bit
-# rows of a graph this size take at most vertices**2 / 8 bytes = 512 MiB.
+# The one size budget for designs and graphs: the bit rows of a graph this
+# size take at most vertices**2 / 8 bytes = 512 MiB.
 MAX_GRAPH_VERTICES = 2**16
+
+
+def _check_graph_size(vertices: int) -> None:
+    if vertices > MAX_GRAPH_VERTICES:
+        raise ValueError(
+            f"graph would have {vertices} vertices, above the cap of "
+            f"{MAX_GRAPH_VERTICES}"
+        )
+
+
+def _point_ids(design: Design) -> range:
+    if design.point_count > MAX_GRAPH_VERTICES:
+        raise ValueError(
+            f"design has {design.point_count} points, above the graph cap of "
+            f"{MAX_GRAPH_VERTICES}"
+        )
+    return range(design.point_count)
 
 
 @dataclass(frozen=True)
@@ -33,7 +50,8 @@ class OrderedDesign:
 
     ``order[i]`` is the point of rank i (the i-th smallest).  The order is
     an explicit input because the edge set, not its proven properties,
-    depends on it.
+    depends on it.  A valid packing covers every point, so the constructors
+    refuse more points than the graph cap before building an order.
     """
 
     design: Design
@@ -46,11 +64,11 @@ class OrderedDesign:
 
     @classmethod
     def id_order(cls, design: Design) -> "OrderedDesign":
-        return cls(design, tuple(range(design.point_count)))
+        return cls(design, tuple(_point_ids(design)))
 
     @classmethod
     def random_order(cls, design: Design, seed: int) -> "OrderedDesign":
-        order = list(range(design.point_count))
+        order = list(_point_ids(design))
         random.Random(seed).shuffle(order)
         return cls(design, tuple(order))
 
@@ -114,11 +132,7 @@ def build_gamma(od: OrderedDesign) -> IncidenceGraph:
     (pair masks) of the blocks through x above x's fiber, minus B1's column.
     """
     design = od.design
-    n = incidence_count(design)
-    if n > MAX_GRAPH_VERTICES:
-        raise ValueError(
-            f"graph would have {n} vertices, above the cap of {MAX_GRAPH_VERTICES}"
-        )
+    _check_graph_size(incidence_count(design))
     report = validate_packing(design)
     if not report.valid:
         raise InvalidPacking(report)

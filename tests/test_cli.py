@@ -52,15 +52,37 @@ def test_construct_requires_prime(tmp_path, capsys):
 
 
 def test_construct_refuses_oversized_designs(tmp_path, capsys):
+    # each family's closed-form incidence count against the graph cap: far
+    # above it, and one step above the largest accepted p = 37, N = 16, n = 65,536
     out = tmp_path / "huge.json"
-    for argv in (
-        ["--family", "projective", "--p", "1000000000000000003"],
-        ["--family", "grid", "--N", "100"],
+    for argv, vertices in (
+        (["--family", "projective", "--p", "1000000000000000003"],
+         (10**36 + 7 * 10**18 + 13) * (10**18 + 4)),
+        (["--family", "grid", "--N", "100"], 10**8),
+        (["--family", "projective", "--p", "41"], 72366),
+        (["--family", "affine", "--p", "41"], 70602),
+        (["--family", "grid", "--N", "17"], 83521),
+        (["--family", "trim", "--n", "65537"], 65537),
+        (["--family", "random", "--points", "10", "--block-size", "3",
+          "--strength", "2", "--blocks", "21843"], 65539),
     ):
-        code, _, stderr = run(["construct", *argv, "--out", str(out)], capsys)
+        code, stdout, stderr = run(["construct", *argv, "--out", str(out)], capsys)
         assert code == 2
-        assert "above the construct cap" in stderr
+        assert stdout == ""
+        assert stderr == (
+            f"error: graph would have {vertices} vertices, above the cap of 65536\n"
+        )
         assert not out.exists()
+
+
+def test_construct_accepts_a_design_at_the_graph_cap(tmp_path, capsys):
+    out = tmp_path / "trim.json"
+    code, stdout, _ = run(
+        ["construct", "--family", "trim", "--n", "65536", "--out", str(out)], capsys
+    )
+    assert code == 0
+    assert stdout.endswith("incidences: 65536\n")
+    assert incidence_count(design_from_json(out.read_text())) == 65536
 
 
 def test_construct_rejects_negative_block_target(tmp_path, capsys):
@@ -164,6 +186,42 @@ def test_verify_missing_file(tmp_path, capsys):
     code, _, stderr = run(["verify", str(tmp_path / "nope.json")], capsys)
     assert code == 2
     assert "cannot read" in stderr
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze", "export"])
+def test_non_utf8_design_file_is_a_usage_error(tmp_path, capsys, command):
+    design = tmp_path / "utf16.json"
+    design.write_bytes(b"\xff\xfe{\x00}\x00")
+    code, stdout, stderr = run([command, str(design)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith(f"error: cannot read design file {design}: ")
+    assert stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--family", "trim", "--n", "10", "--out", "{missing}"],
+        ["construct", "--family", "trim", "--n", "10", "--out", "{ok}",
+         "--trace-out", "{missing}"],
+        ["analyze", "{fano}", "--out", "{missing}"],
+        ["export", "{fano}", "--out", "{missing}"],
+        ["sweep", "--n", "1..3", "--out", "{missing}"],
+    ],
+    ids=["construct", "construct-trace", "analyze", "export", "sweep"],
+)
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
+    fano = tmp_path / "fano.json"
+    run(["construct", "--family", "projective", "--p", "2", "--out", str(fano)], capsys)
+    missing = tmp_path / "no" / "such" / "dir" / "out"
+    paths = {"missing": missing, "ok": tmp_path / "ok.json", "fano": fano}
+    code, stdout, stderr = run([arg.format(**paths) for arg in argv], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith(f"error: cannot write {missing}: ")
+    assert stderr.count("\n") == 1
+    assert not missing.exists()
 
 
 def test_analyze_csv(tmp_path, capsys):

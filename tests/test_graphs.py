@@ -90,10 +90,13 @@ def test_build_gamma_raises_invalid_packing_with_the_report():
 
 
 def test_build_gamma_refuses_graphs_over_the_vertex_cap(fano, monkeypatch):
+    # 65,535 singletons and the pair {65534, 65535}: points at the cap, one
+    # incidence pair over it
     singletons = Design(
-        MAX_GRAPH_VERTICES + 1,
-        tuple((x,) for x in range(MAX_GRAPH_VERTICES + 1)),
-        strength=1,
+        MAX_GRAPH_VERTICES,
+        tuple((x,) for x in range(MAX_GRAPH_VERTICES - 1))
+        + ((MAX_GRAPH_VERTICES - 2, MAX_GRAPH_VERTICES - 1),),
+        strength=2,
     )
     with pytest.raises(
         ValueError, match="graph would have 65537 vertices, above the cap of 65536"
@@ -105,6 +108,17 @@ def test_build_gamma_refuses_graphs_over_the_vertex_cap(fano, monkeypatch):
     monkeypatch.setattr(incidence_graphs, "MAX_GRAPH_VERTICES", 20)
     with pytest.raises(ValueError, match="21 vertices, above the cap of 20"):
         build_gamma(OrderedDesign.id_order(fano))
+
+
+@pytest.mark.parametrize("points", [MAX_GRAPH_VERTICES + 1, 10**12])
+def test_ordered_design_refuses_more_points_than_the_graph_cap(points):
+    # checked before the order is built: 10**12 points never allocate
+    design = Design(points, ((0, 1),), strength=2)
+    message = f"design has {points} points, above the graph cap of 65536"
+    with pytest.raises(ValueError, match=message):
+        OrderedDesign.id_order(design)
+    with pytest.raises(ValueError, match=message):
+        OrderedDesign.random_order(design, 0)
 
 
 def test_ordered_design_requires_a_permutation(fano):
