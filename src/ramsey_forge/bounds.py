@@ -117,31 +117,38 @@ def _min_degree_set(adjacency: tuple[int, ...], alive: int) -> int:
     return chosen
 
 
-def exact_max_independent_set(
-    g: IncidenceGraph, vertex_budget: int = DEFAULT_EXACT_BUDGET
-) -> IndependentSet:
-    """Exact maximum independent set by branch-and-bound.
+def _clique_cover(adjacency: tuple[int, ...], alive: int, floor: int):
+    """Greedy clique cover of ``alive`` that grows every clique from the
+    lowest remaining vertex.  Returns the number of cliques and the
+    ``(vertex, clique index)`` pairs of the cliques numbered above
+    ``floor`` (from 1), in cover order."""
+    tail = []
+    k = 0
+    rem = alive
+    while rem:
+        k += 1
+        cand = rem
+        while cand:
+            lsb = cand & -cand
+            v = lsb.bit_length() - 1
+            rem ^= lsb
+            if k > floor:
+                tail.append((v, k))
+            cand = (cand ^ lsb) & adjacency[v]
+    return k, tail
 
-    The incumbent starts as the min-degree greedy set.  Each node makes one
-    pass over the residual graph: a greedy clique cover that grows every
-    clique from the lowest remaining vertex, reading each vertex's residual
-    degree as it is visited.  The node is pruned when the cover cannot beat
-    the incumbent, and takes the whole residual set once it has no edges;
-    otherwise it branches on a maximum-degree vertex, include (delete its
-    closed neighbourhood) or exclude.  The nodes live on an explicit stack,
-    exclude child on top, so the depth is not bounded by the recursion
-    limit.  Fully deterministic, including the witness.  Graphs larger than
-    ``vertex_budget`` are refused.
+
+def _max_degree_search(adj: tuple[int, ...], alive: int, best_mask: int) -> int:
+    """Binary branch-and-bound; returns the best mask found.
+
+    Each node makes one pass over the residual graph that builds the
+    greedy clique cover and reads every vertex's residual degree.  The
+    node is pruned when the cover cannot beat the incumbent, and takes the
+    whole residual set once it has no edges; otherwise it branches on a
+    maximum-degree vertex, include or exclude, exclude searched first.
     """
-    n = g.n_vertices
-    if n > vertex_budget:
-        raise ValueError(
-            f"graph has {n} vertices, above the exact budget {vertex_budget}"
-        )
-    adj = g.adjacency
-    best_mask = _min_degree_set(adj, (1 << n) - 1)
     best_size = best_mask.bit_count()
-    stack = [((1 << n) - 1, 0, 0)]
+    stack = [(alive, 0, 0)]
     while stack:
         alive, chosen, size = stack.pop()
         cover = 0
@@ -167,6 +174,79 @@ def exact_max_independent_set(
         bit = 1 << branch
         stack.append((alive & ~(adj[branch] | bit), chosen | bit, size + 1))
         stack.append((alive & ~bit, chosen, size))
+    return best_mask
+
+
+def _colour_class_search(
+    adj: tuple[int, ...], alive: int, tail: list, best_mask: int
+) -> int:
+    """Colour-class branch-and-bound over the clique cover ``tail`` of
+    ``alive``; returns the best mask found.
+
+    A frame ``[P, chosen, size, tail]`` tries one tail vertex per step,
+    last clique first, and each tried vertex leaves P.  So when v of
+    clique k comes up, P lies in cliques 1..k and no independent set of P
+    has more than k vertices: the frame is dropped once ``size + k``
+    cannot beat the incumbent.  Otherwise ``P & ~N[v]`` becomes a child,
+    taken whole if it has no edges, else given a tail of the cliques of
+    its own cover numbered above ``best - size``.
+    """
+    best_size = best_mask.bit_count()
+    stack = [[alive, 0, 0, tail]]
+    while stack:
+        frame = stack[-1]
+        p, chosen, size, tail = frame
+        if not tail:
+            stack.pop()
+            continue
+        v, k = tail.pop()
+        if size + k <= best_size:
+            stack.pop()
+            continue
+        bit = 1 << v
+        p ^= bit
+        frame[0] = p
+        child = p & ~adj[v]
+        chosen |= bit
+        size += 1
+        cover, child_tail = _clique_cover(adj, child, best_size - size)
+        if cover == child.bit_count():  # no edges left: take them all
+            if size + cover > best_size:
+                best_size, best_mask = size + cover, chosen | child
+        elif child_tail:
+            stack.append([child, chosen, size, child_tail])
+    return best_mask
+
+
+def exact_max_independent_set(
+    g: IncidenceGraph, vertex_budget: int = DEFAULT_EXACT_BUDGET
+) -> IndependentSet:
+    """Exact maximum independent set by branch-and-bound.
+
+    The incumbent starts as the min-degree greedy set.  The search is
+    chosen once, from the root's greedy clique cover: a clique of three or
+    more vertices means the graph has triangles, and the colour-class
+    search runs; otherwise (every triangle-free graph) the max-degree
+    search does.  On triangle-free graphs colour-class branching takes an
+    order of magnitude more nodes, hence the rule.  Both searches keep
+    their nodes on an explicit stack, so the depth is not bounded by the
+    recursion limit.  Fully deterministic, including the witness.  Graphs
+    larger than ``vertex_budget`` are refused.
+    """
+    n = g.n_vertices
+    if n > vertex_budget:
+        raise ValueError(
+            f"graph has {n} vertices, above the exact budget {vertex_budget}"
+        )
+    adj = g.adjacency
+    alive = (1 << n) - 1
+    best_mask = _min_degree_set(adj, alive)
+    _, tail = _clique_cover(adj, alive, 0)
+    # three pairs in a row with one clique index: a triangle
+    if any(tail[i][1] == tail[i + 2][1] for i in range(len(tail) - 2)):
+        best_mask = _colour_class_search(adj, alive, tail, best_mask)
+    else:
+        best_mask = _max_degree_search(adj, alive, best_mask)
     return IndependentSet(tuple(_members(best_mask)), "exact")
 
 

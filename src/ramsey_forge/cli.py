@@ -43,6 +43,7 @@ from .designs import (
 )
 from .incidence_graphs import (
     EXPORT_FORMATS,
+    MAX_GRAPH_VERTICES,
     IncidenceGraph,
     OrderedDesign,
     _check_graph_size,
@@ -144,6 +145,11 @@ def _construct_family(args) -> tuple[Design, Optional[TrimTrace]]:
         strength = _require(args.strength, "--strength")
         blocks = _require(args.blocks, "--blocks")
         seed = args.seed if args.seed is not None else _default_seed()
+        # no more blocks fit than the packing bound C(v, t) // C(k, t); more
+        # points than the cap fail the gate anyway, so C(v, t) stays small
+        if 1 <= strength <= block_size <= points <= MAX_GRAPH_VERTICES:
+            fit = math.comb(points, strength) // math.comb(block_size, strength)
+            blocks = min(blocks, fit)
         _check_graph_size(blocks * block_size + points)
         return random_packing(points, block_size, strength, blocks, seed), None
     raise UsageError(f"unknown family {family!r}")
@@ -163,7 +169,11 @@ def cmd_construct(args) -> int:
             else out.with_suffix(".trace.json")
         )
         doc = json.dumps(asdict(trace), separators=(",", ":"))
-        _write(trace_path, doc + "\n")
+        try:
+            _write(trace_path, doc + "\n")
+        except UsageError:
+            out.unlink()  # no design without its trace
+            raise
     print(f"points: {design.point_count}")
     print(f"blocks: {len(design.blocks)}")
     print(f"incidences: {incidence_count(design)}")

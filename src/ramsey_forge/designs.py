@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from typing import Iterator, Optional, Union
 
@@ -158,7 +158,9 @@ def validate_packing(design: Design) -> ValidationReport:
     check registers each block's ``strength``-subsets in a hash map keyed by
     the sorted id tuple, so the cost is linear in the number of registered
     subsets (for strength 2: the per-block pair counts), never in
-    ``point_count**2 * len(blocks)``.  A design with more than
+    ``point_count**2 * len(blocks)``.  Coverage is tracked in a set of the
+    covered points, so it too costs O(incidences) whatever ``point_count``
+    is; only the reported witnesses are listed.  A design with more than
     ``MAX_REGISTERED_SUBSETS`` subsets to register raises ValueError.
 
     Structural problems (ids out of range, non-ascending blocks) are errors
@@ -177,13 +179,13 @@ def validate_packing(design: Design) -> ValidationReport:
         if not block:
             add(EmptyBlock(i))
 
-    covered = bytearray(design.point_count)
-    for block in design.blocks:
-        for p in block:
-            covered[p] = 1
-    for p, c in enumerate(covered):
-        if not c:
-            add(UncoveredPoint(p))
+    covered = {p for block in design.blocks for p in block}
+    missing = design.point_count - len(covered)
+    shown = min(missing, MAX_WITNESSES)
+    uncovered = (p for p in range(design.point_count) if p not in covered)
+    for p in islice(uncovered, shown):
+        add(UncoveredPoint(p))
+    total += missing - shown
 
     for duplicate in _duplicated_subsets(design.blocks, design.strength):
         add(duplicate)

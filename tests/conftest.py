@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from ramsey_forge import Design, affine_plane, grid_line_design, projective_plane
+
+# Every property test draws the same examples on every run, with no time
+# limit per example; each @settings only sets its example count.
+settings.register_profile("derandomized", derandomize=True, deadline=None)
+settings.load_profile("derandomized")
 
 # Fano plane written out by hand (lines {i, i+1, i+3} mod 7), so design-level
 # tests do not depend on the plane constructor they help validate.

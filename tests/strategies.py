@@ -13,14 +13,34 @@ from ramsey_forge import IncidenceGraph, OrderedDesign, random_packing
 
 
 @st.composite
-def random_graphs(draw, max_n):
-    """Symmetric graphs on 0..max_n vertices, from edgeless to complete."""
-    n = draw(st.integers(0, max_n))
+def random_graphs(draw, max_n, min_n=0):
+    """Symmetric graphs on min_n..max_n vertices, from edgeless to complete."""
+    n = draw(st.integers(min_n, max_n))
     density = draw(st.integers(0, 100))
     rng = random.Random(draw(st.integers(0, 2**32)))
     adjacency = [0] * n
     for u, v in combinations(range(n), 2):
         if rng.randrange(100) < density:
+            adjacency[u] |= 1 << v
+            adjacency[v] |= 1 << u
+    return IncidenceGraph(
+        vertices=tuple((i, i) for i in range(n)), adjacency=tuple(adjacency), m=3
+    )
+
+
+@st.composite
+def graphs_with_triangles(draw, max_n):
+    """Random graphs on 3..max_n vertices with triangles planted on random
+    triples.  The first sits on vertices 0, 1 and 2, so the greedy clique
+    cover grown from the lowest vertex starts with a clique of three or
+    more and the exact solver takes its colour-class search."""
+    adjacency = list(draw(random_graphs(max_n, min_n=3)).adjacency)
+    n = len(adjacency)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    triples = [(0, 1, 2)]
+    triples += [rng.sample(range(n), 3) for _ in range(draw(st.integers(0, n)))]
+    for triple in triples:
+        for u, v in combinations(triple, 2):
             adjacency[u] |= 1 << v
             adjacency[v] |= 1 << u
     return IncidenceGraph(

@@ -2,8 +2,10 @@
 
 The greedy set is pinned to one vertex per block on every instance and
 order; the exact branch-and-bound optimum is compared against full 2**v
-subset enumeration on random graphs and against the earlier recursive solver
-on packing graphs under random orders; all closed-form bounds are checked
+subset enumeration on random graphs, with and without planted triangles, and
+against the earlier recursive solver on packing graphs under random orders;
+the root rule that picks its search is pinned, and so are its witnesses on
+triangle-free graphs; all closed-form bounds are checked
 both on hand-worked values and as inequalities across constructed and random
 designs.  The hypothesis properties run derandomized.
 """
@@ -39,7 +41,7 @@ from ramsey_forge import (
 )
 from ramsey_forge import bounds
 from oracles import enumerate_alpha, exact_by_recursive_bnb, greedy_by_retiring_blocks
-from strategies import packings, random_graphs
+from strategies import graphs_with_triangles, packings, random_graphs
 
 
 def _gamma(design, seed=None):
@@ -71,7 +73,7 @@ def test_greedy_always_returns_one_vertex_per_block(fano, ag22, grid2):
             assert verify_independent(g, s)
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=60)
 @given(
     strength=st.integers(1, 4),
     block_size=st.integers(1, 6),
@@ -155,7 +157,7 @@ def test_exact_matches_enumeration_on_random_packings():
         assert exact_max_independent_set(g).size == enumerate_alpha(g.adjacency)
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+@settings(max_examples=150)
 @given(random_graphs(16))
 def test_exact_matches_enumeration_on_random_graphs(g):
     exact = exact_max_independent_set(g)
@@ -163,7 +165,7 @@ def test_exact_matches_enumeration_on_random_graphs(g):
     assert exact.size == enumerate_alpha(g.adjacency)
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
+@settings(max_examples=40)
 @given(packings((1, 2, 3, 4), max_vertices=100, max_extra_points=14))
 def test_exact_matches_recursive_solver_on_packing_graphs(od):
     g = build_gamma(od)
@@ -172,6 +174,64 @@ def test_exact_matches_recursive_solver_on_packing_graphs(od):
     assert exact.size == len(exact_by_recursive_bnb(g.adjacency))
     block = largest_block_set(od.design, g)
     assert block.size <= exact.size <= upper_bound_alpha(od.design)
+
+
+@settings(max_examples=100)
+@given(graphs_with_triangles(16))
+def test_exact_matches_enumeration_on_graphs_with_triangles(g):
+    exact = exact_max_independent_set(g)
+    assert verify_independent(g, exact)
+    assert exact.size == enumerate_alpha(g.adjacency)
+
+
+@settings(max_examples=40)
+@given(packings((3, 4), max_vertices=100, max_extra_points=14))
+def test_exact_matches_recursive_solver_on_strength_3_and_4_packings(od):
+    g = build_gamma(od)
+    exact = exact_max_independent_set(g, vertex_budget=100)
+    assert verify_independent(g, exact)
+    assert exact.size == len(exact_by_recursive_bnb(g.adjacency))
+
+
+def _searches_taken(monkeypatch, g):
+    taken = []
+    for name in ("_colour_class_search", "_max_degree_search"):
+        def spy(*args, _name=name, _search=getattr(bounds, name)):
+            taken.append(_name)
+            return _search(*args)
+        monkeypatch.setattr(bounds, name, spy)
+    exact_max_independent_set(g, vertex_budget=200)
+    return taken
+
+
+def test_root_rule_picks_the_search(monkeypatch, fano):
+    triangle = IncidenceGraph(
+        vertices=((0, 0), (1, 1), (2, 2)), adjacency=(0b110, 0b101, 0b011), m=3
+    )
+    assert _searches_taken(monkeypatch, triangle) == ["_colour_class_search"]
+    packing = random_packing(16, 4, 3, 40, seed=5)  # K4-free, with triangles
+    assert _searches_taken(monkeypatch, _gamma(packing, 1)[1]) == [
+        "_colour_class_search"
+    ]
+    for design, seed in ((fano, None), (grid_line_design(2), 3)):
+        assert _searches_taken(monkeypatch, _gamma(design, seed)[1]) == [
+            "_max_degree_search"
+        ]
+
+
+def test_exact_witnesses_on_triangle_free_graphs_are_unchanged(fano, ag23):
+    # triangle-free graphs keep the max-degree search and its witnesses
+    for design, seed, witness in (
+        (fano, None, (0, 1, 2, 3, 4, 6, 10, 12, 15, 18, 19)),
+        (ag23, None, (0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 15, 19, 23, 27, 31, 35)),
+        (trim_to_n(64)[0], 1, (
+            0, 1, 2, 4, 5, 10, 12, 13, 14, 16, 17, 19, 20, 22, 23, 24, 25, 26,
+            27, 29, 31, 32, 33, 36, 38, 43, 45, 47, 48, 49, 51, 52, 53, 54, 55,
+            56, 59, 60, 61, 62, 63,
+        )),
+    ):
+        od, g = _gamma(design, seed)
+        assert exact_max_independent_set(g).vertices == witness
 
 
 def test_exact_refuses_graphs_over_budget(ag23):

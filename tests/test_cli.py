@@ -63,8 +63,8 @@ def test_construct_refuses_oversized_designs(tmp_path, capsys):
         (["--family", "affine", "--p", "41"], 70602),
         (["--family", "grid", "--N", "17"], 83521),
         (["--family", "trim", "--n", "65537"], 65537),
-        (["--family", "random", "--points", "10", "--block-size", "3",
-          "--strength", "2", "--blocks", "21843"], 65539),
+        (["--family", "random", "--points", "1000", "--block-size", "3",
+          "--strength", "2", "--blocks", "21843"], 66529),
     ):
         code, stdout, stderr = run(["construct", *argv, "--out", str(out)], capsys)
         assert code == 2
@@ -83,6 +83,25 @@ def test_construct_accepts_a_design_at_the_graph_cap(tmp_path, capsys):
     assert code == 0
     assert stdout.endswith("incidences: 65536\n")
     assert incidence_count(design_from_json(out.read_text())) == 65536
+
+
+def test_construct_random_caps_blocks_by_the_packing_bound(tmp_path, capsys):
+    # 21,843 blocks of 3 would pass the cap, but 10 points hold at most
+    # C(10, 2) // C(3, 2) = 15 of them
+    out = tmp_path / "r.json"
+    code, stdout, stderr = run(
+        ["construct", "--family", "random", "--points", "10", "--block-size",
+         "3", "--strength", "2", "--blocks", "21843", "--out", str(out)],
+        capsys,
+    )
+    assert (code, stderr) == (0, "")
+    design = design_from_json(out.read_text())
+    assert validate_packing(design).valid
+    assert len(design.blocks) <= 15
+    assert stdout == (
+        f"points: 10\nblocks: {len(design.blocks)}\n"
+        f"incidences: {incidence_count(design)}\n"
+    )
 
 
 def test_construct_rejects_negative_block_target(tmp_path, capsys):
@@ -222,6 +241,7 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
     assert stderr.startswith(f"error: cannot write {missing}: ")
     assert stderr.count("\n") == 1
     assert not missing.exists()
+    assert not paths["ok"].exists()  # no design is left without its trace
 
 
 def test_analyze_csv(tmp_path, capsys):
@@ -283,6 +303,28 @@ def test_analyze_exact_search_deeper_than_the_recursion_limit(tmp_path, capsys):
     doc = json.loads(stdout)
     assert doc["n_vertices"] == 3300
     assert doc["exact"] == 2200
+
+
+def test_analyze_colour_class_search_deeper_than_the_recursion_limit(
+    tmp_path, capsys
+):
+    # 200 disjoint copies of a strength-3 gadget on 7 points: 3,000 vertices
+    # with triangles, alpha 9 per copy.  The min-degree incumbent takes 8 per
+    # copy, so the search descends about 1,800 frames to prove 1,800.
+    gadget = ((3, 4, 6), (1, 3, 6), (0, 5, 6), (1, 3, 5), (1, 2, 5))
+    blocks = [[7 * i + x for x in b] for i in range(200) for b in gadget]
+    design = tmp_path / "gadgets.json"
+    design.write_text(
+        json.dumps({"point_count": 1400, "strength": 3, "blocks": blocks})
+    )
+    code, stdout, _ = run(
+        ["analyze", str(design), "--exact-budget", "4000", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    doc = json.loads(stdout)
+    assert doc["n_vertices"] == 3000
+    assert doc["exact"] == 1800
 
 
 def test_analyze_rejects_bad_order_spec(tmp_path, capsys):

@@ -2,7 +2,8 @@
 
 Claims exercised here:
   - validate_packing reports exactly the three failure kinds, with witnesses,
-    truncating at 100 witnesses while keeping the exact total
+    truncating at 100 witnesses while keeping the exact total, and counts
+    uncovered points without walking all of them
   - structural problems (ids out of range, unsorted blocks) raise at
     construction and never appear in reports
   - strength-2 validity coincides with rectangle-freeness of the incidence
@@ -93,6 +94,23 @@ def test_witness_list_truncates_but_total_is_exact():
     report = validate_packing(design)
     assert report.total_violations == 105  # C(15, 2)
     assert len(report.violations) == 100
+
+
+def test_uncovered_points_are_counted_not_listed():
+    # one pair among 10**12 points: the coverage check never walks them all
+    report = validate_packing(Design(10**12, ((0, 1),), strength=2))
+    assert report.total_violations == 10**12 - 2
+    assert report.violations == tuple(UncoveredPoint(p) for p in range(2, 102))
+    # witnesses in point order between the covered ones, after the empty blocks
+    report = validate_packing(Design(8, ((1, 3), (), (5,)), strength=2))
+    assert report.violations == (
+        EmptyBlock(1), *(UncoveredPoint(p) for p in (0, 2, 4, 6, 7))
+    )
+    assert report.total_violations == 6
+    # 99 empty blocks leave room for one uncovered witness of 199
+    report = validate_packing(Design(200, ((),) * 99 + ((5,),), strength=2))
+    assert report.violations[98:] == (EmptyBlock(98), UncoveredPoint(0))
+    assert report.total_violations == 99 + 199
 
 
 def test_subset_scan_refuses_designs_over_the_budget(fano_by_hand, monkeypatch):
@@ -240,7 +258,7 @@ def _random_designs(draw):
     return Design(point_count, tuple(blocks), strength=draw(st.integers(1, 3)))
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+@settings(max_examples=150)
 @given(_random_designs())
 def test_rectangle_free_matches_matrix_search(design):
     assert rectangle_free(design) != incidence_matrix_has_rectangle(design)
@@ -290,7 +308,7 @@ def test_json_round_trip(fano):
     assert design_to_json(back) == text
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100)
 @given(packings((1, 2, 3, 4), max_vertices=40))
 def test_json_round_trip_on_random_packings(od):
     text = design_to_json(od.design)

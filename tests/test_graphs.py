@@ -164,7 +164,7 @@ def test_adjacency_matches_brute_force_edge_rule(fano, ag22, ag23, grid2):
             assert list(g.adjacency) == expected
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+@settings(max_examples=150)
 @given(packings((1, 2, 3, 4), MAX_ORACLE_VERTICES))
 def test_adjacency_matches_brute_force_on_random_packings(od):
     g = build_gamma(od)
@@ -239,14 +239,14 @@ def test_planted_triangle_is_found():
                 assert (g.adjacency[u] >> v) & 1
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=200)
 @given(random_graphs(13))
 def test_clique_search_matches_enumeration_on_random_graphs(g):
     for m in range(1, 7):
         assert check_clique_free(g, m) == first_clique_brute(g.adjacency, m)
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=60)
 @given(packings((3, 4), MAX_ORACLE_VERTICES))
 def test_packing_graphs_are_clique_free_under_random_orders(od):
     g = build_gamma(od)
@@ -307,14 +307,14 @@ def _graphs_with_isolated_vertices(draw):
     )
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+@settings(max_examples=150)
 @given(_graphs_with_isolated_vertices())
 def test_export_matches_edge_list_reference_on_random_graphs(g):
     for fmt in EXPORT_FORMATS:
         assert export_graph(g, fmt) == export_by_edge_list(g.adjacency, fmt)
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100)
 @given(packings((1, 2, 3, 4), MAX_ORACLE_VERTICES))
 def test_export_matches_edge_list_reference_on_packing_graphs(od):
     g = build_gamma(od)
