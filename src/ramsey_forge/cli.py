@@ -209,7 +209,7 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _write_report_rows(rows, fmt: str, out: Optional[str]) -> None:
+def _write_report_rows(rows, fmt: str, out: Optional[str], *, array: bool) -> None:
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -218,7 +218,7 @@ def _write_report_rows(rows, fmt: str, out: Optional[str]) -> None:
         payload = buf.getvalue()
     else:
         docs = [row.as_dict() for row in rows]
-        payload = json.dumps(docs[0] if len(docs) == 1 else docs, indent=2) + "\n"
+        payload = json.dumps(docs if array else docs[0], indent=2) + "\n"
     if out is None:
         sys.stdout.write(payload)
     else:
@@ -242,7 +242,7 @@ def cmd_analyze(args) -> int:
         order_seed=seed,
         exact_budget=args.exact_budget,
     )
-    _write_report_rows([row], args.format, args.out)
+    _write_report_rows([row], args.format, args.out, array=False)
     return 0
 
 
@@ -311,7 +311,7 @@ def cmd_sweep(args) -> int:
             )
             return 1
         rows.append(row)
-    _write_report_rows(rows, args.format, args.out)
+    _write_report_rows(rows, args.format, args.out, array=True)
     return 0
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .designs import MAX_REGISTERED_SUBSETS, Design, incidence_count
+from .designs import MAX_REGISTERED_SUBSETS, Design
 
 # random_packing stops after this many consecutive rejected samples.
 REJECTION_BUDGET = 1000
@@ -108,12 +108,22 @@ def grid_line_design(N: int) -> Design:
         for m in range(1, N + 1)
         for b in range(1, N * N + 1)
     ]
-    covered = sorted({pt for line in lines for pt in line})
+    return _on_covered_points(lines, lambda pt: f"({pt[0]},{pt[1]})")
+
+
+def _on_covered_points(blocks, label) -> Design:
+    """Strength-2 design on exactly the points that ``blocks`` cover.
+
+    The covered points are numbered 0, 1, ... in ascending order, each
+    block is rewritten in those numbers, and ``label(point)`` names each.
+    """
+    covered = sorted({pt for block in blocks for pt in block})
     index = {pt: i for i, pt in enumerate(covered)}
-    blocks = tuple(tuple(index[pt] for pt in line) for line in lines)
-    labels = tuple(f"({a},{b})" for a, b in covered)
     return Design(
-        point_count=len(covered), blocks=blocks, strength=2, labels=labels
+        point_count=len(covered),
+        blocks=tuple(tuple(index[pt] for pt in block) for block in blocks),
+        strength=2,
+        labels=tuple(label(pt) for pt in covered),
     )
 
 
@@ -147,13 +157,13 @@ def trim_to_n(n: int) -> tuple[Design, TrimTrace]:
     """Strength-2 design with exactly ``n`` incidence pairs, for any n >= 1.
 
     Picks the smallest k with k**3 + k**2 >= n (then k**3 + k**2 <= 6n holds
-    as well), the smallest prime p in [k, 2k], and trims the affine plane of
-    order p down to n incidences.  The trim is deterministic: walk blocks
-    from the last backwards, repeatedly deleting the current block's largest
-    point while more than one point remains; only once every block is a
-    singleton are whole blocks deleted, again from the back.  Emptied blocks
-    are dropped and the point set is restricted (and densely relabelled) to
-    the points still covered, so the result passes validation.
+    as well) and the smallest prime p in [k, 2k].  One walk lists the
+    incidences of the affine plane of order p: each block's first point in
+    block order, then each block's remaining points, block by block.  The
+    design keeps the walk's first n incidences, restricted (and densely
+    relabelled) to the points they cover, so it passes validation; the
+    trace's ``removed`` is the rest of the walk reversed: last block
+    backwards, largest point first.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -163,28 +173,13 @@ def trim_to_n(n: int) -> tuple[Design, TrimTrace]:
     p = smallest_prime_in(k, 2 * k)
     assert p is not None  # Bertrand's postulate
     base = affine_plane(p)
-    blocks = [list(block) for block in base.blocks]
-    removed: list[tuple[int, int]] = []
-    need = incidence_count(base) - n
-    for i in reversed(range(len(blocks))):  # ascending blocks: pop = largest
-        while need and len(blocks[i]) > 1:
-            removed.append((i, blocks[i].pop()))
-            need -= 1
-    for i in reversed(range(len(blocks))):  # all singletons: delete blocks
-        if need:
-            removed.append((i, blocks[i].pop()))
-            need -= 1
-
-    survivors = [block for block in blocks if block]
-    old_points = sorted({pt for block in survivors for pt in block})
-    relabel = {old: new for new, old in enumerate(old_points)}
-    new_blocks = tuple(tuple(relabel[pt] for pt in block) for block in survivors)
-    labels = tuple(base.labels[old] for old in old_points)
-    design = Design(
-        point_count=len(old_points), blocks=new_blocks, strength=2, labels=labels
-    )
-    trace = TrimTrace(n=n, k=k, p=p, removed=tuple(removed))
-    return design, trace
+    walk = [(i, block[0]) for i, block in enumerate(base.blocks)]
+    walk += [(i, pt) for i, block in enumerate(base.blocks) for pt in block[1:]]
+    kept: list[list[int]] = [[] for _ in base.blocks]
+    for i, pt in walk[:n]:
+        kept[i].append(pt)
+    design = _on_covered_points([b for b in kept if b], base.labels.__getitem__)
+    return design, TrimTrace(n=n, k=k, p=p, removed=tuple(reversed(walk[n:])))
 
 
 def random_packing(

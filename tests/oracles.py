@@ -6,15 +6,18 @@ vertex m-subsets, and the packing conditions over all block pairs.  They are
 deliberately slow and only usable at desk scale.  The greedy oracle keeps an
 earlier, procedural formulation of the greedy pass as a reference, the
 export oracle the earlier exporter that formats one explicit edge list, and
-the branch-and-bound oracle the earlier recursive exact solver, and the
+the branch-and-bound oracle the earlier recursive exact solver, the
 block-pair oracle the earlier graph builder that sets both ends of every
-edge through a pair-to-index dict.
+edge through a pair-to-index dict, and the trim oracle the earlier
+exact-size trim that pops incidences off the affine plane in two loops.
 """
 
 import json
 from itertools import combinations
 
 import numpy as np
+
+from ramsey_forge import Design, TrimTrace, affine_plane, smallest_prime_in
 
 ENUMERATION_CAP = 22
 
@@ -243,3 +246,41 @@ def incidence_matrix_has_rectangle(design):
             if member[p][b1] and member[p][b2] and member[q][b1] and member[q][b2]:
                 return True
     return False
+
+
+def trim_by_popping(n):
+    """Exact-size trim of an affine plane by two mutating pop loops.
+
+    Same parameters as ``trim_to_n``: the smallest k with k**3 + k**2 >= n
+    and the smallest prime p in [k, 2k].  Walking the blocks from the last
+    backwards, pop each block's largest point while more than one point
+    remains; only once every block is a singleton pop whole blocks, again
+    from the back.  Emptied blocks are dropped and the surviving points are
+    relabelled densely in ascending order.
+    """
+    k = 1
+    while k**3 + k**2 < n:
+        k += 1
+    p = smallest_prime_in(k, 2 * k)
+    base = affine_plane(p)
+    blocks = [list(block) for block in base.blocks]
+    removed = []
+    need = sum(len(block) for block in blocks) - n
+    for i in reversed(range(len(blocks))):
+        while need and len(blocks[i]) > 1:
+            removed.append((i, blocks[i].pop()))
+            need -= 1
+    for i in reversed(range(len(blocks))):
+        if need:
+            removed.append((i, blocks[i].pop()))
+            need -= 1
+    survivors = [block for block in blocks if block]
+    old_points = sorted({pt for block in survivors for pt in block})
+    relabel = {old: new for new, old in enumerate(old_points)}
+    design = Design(
+        point_count=len(old_points),
+        blocks=tuple(tuple(relabel[pt] for pt in block) for block in survivors),
+        strength=2,
+        labels=tuple(base.labels[old] for old in old_points),
+    )
+    return design, TrimTrace(n=n, k=k, p=p, removed=tuple(removed))

@@ -465,6 +465,16 @@ def test_sweep_single_value_is_exact_fit(tmp_path, capsys):
     assert rows[0]["a"] == "4" and rows[0]["b"] == "6"  # untrimmed AG(2,2)
 
 
+def test_sweep_json_is_an_array_for_every_range(capsys):
+    # one row or many, sweep writes a JSON array; analyze writes one object
+    for spec, params in (("12..12", ["12"]), ("12..13", ["12", "13"])):
+        code, stdout, _ = run(["sweep", "--n", spec, "--format", "json"], capsys)
+        assert code == 0
+        docs = json.loads(stdout)
+        assert isinstance(docs, list)
+        assert [doc["param"] for doc in docs] == params
+
+
 def test_sweep_rejects_zero(tmp_path, capsys):
     code, _, stderr = run(["sweep", "--n", "0..0"], capsys)
     assert code == 2

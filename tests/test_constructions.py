@@ -2,10 +2,13 @@
 
 The plane constructors are cross-checked against enumeration (pair coverage,
 block sizes, point degrees), the grid family against its closed-form counts,
-and the exact-size trim against hand-traced runs plus its invariant chain
-n <= k^3 + k^2 <= 6n, k <= p <= 2k for every n up to 300.
+and the exact-size trim against hand-traced runs, its invariant chain
+n <= k^3 + k^2 <= 6n, k <= p <= 2k for every n up to 300, and the earlier
+two-loop trim in ``oracles.trim_by_popping``.  Grid designs are pinned by
+the sha256 of their JSON.
 """
 
+import hashlib
 from collections import Counter
 from itertools import combinations
 
@@ -14,6 +17,7 @@ import pytest
 from ramsey_forge import (
     TrimTrace,
     affine_plane,
+    design_to_json,
     fisher_holds,
     grid_line_design,
     incidence_count,
@@ -27,6 +31,8 @@ from ramsey_forge import (
     validate_packing,
 )
 from ramsey_forge.designs import MAX_REGISTERED_SUBSETS
+
+from oracles import trim_by_popping
 
 
 def test_is_prime_matches_definition():
@@ -115,6 +121,21 @@ def test_grid_covered_points_match_direct_enumeration():
     assert set(design.labels) == {f"({a},{b})" for a, b in covered}
 
 
+@pytest.mark.parametrize(
+    "N, digest",
+    [
+        (1, "fcaef5216a62d4f1678f5fa43f8fbd00befa39e211e13c0ade295937c4584e0a"),
+        (2, "1e50284044d8ee58bfda45215dde6bb4fcceadebb7e73d3c6f3e4f5e7819e53d"),
+        (3, "177b2ca6407f23a8876ae99627b19336675ea41985981027797348c7357809d5"),
+        (4, "db3a69d8b05328b7ddd5691e8bef59cb9401fc2218d923314e147a22e1cd6677"),
+        (16, "9b5797f76fa8b0c893f54d34a21874fd78b9f536b336462cdc2a0026f5c745ca"),
+    ],
+)
+def test_grid_design_json_is_pinned(N, digest):
+    text = design_to_json(grid_line_design(N))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_grid_rejects_zero():
     with pytest.raises(ValueError):
         grid_line_design(0)
@@ -159,6 +180,12 @@ def test_trim_invariants_over_full_range():
         assert len(trace.removed) == trace.p**3 + trace.p**2 - n
         assert all(block for block in design.blocks)
         assert validate_packing(design).valid  # also: every point covered
+
+
+def test_trim_matches_the_two_loop_oracle():
+    # the kept walk prefix and its reversed tail against popping from the back
+    for n in [*range(1, 1501), 4000, 20000, 65536]:
+        assert trim_to_n(n) == trim_by_popping(n), n
 
 
 def test_trim_trace_rejects_inconsistent_fields():

@@ -1,0 +1,29 @@
+"""The runtime package imports nothing outside the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ramsey_forge"
+SOURCES = sorted(PACKAGE.glob("*.py"))
+
+
+def absolute_imports(path):
+    """Top-level module names of the absolute imports in one source file."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_package_sources_are_found():
+    assert {"__init__.py", "cli.py", "constructions.py"} <= {p.name for p in SOURCES}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_runtime_imports_only_the_standard_library(path):
+    foreign = sorted(set(absolute_imports(path)) - sys.stdlib_module_names)
+    assert foreign == [], f"{path.name} imports {foreign}"
