@@ -10,7 +10,6 @@ incidence inequalities.
 """
 
 from .bounds import (
-    ANY_N_ALPHA_COEFFICIENT,
     DEFAULT_EXACT_BUDGET,
     BoundsReport,
     IndependentSet,
@@ -63,7 +62,6 @@ from .incidence_graphs import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ANY_N_ALPHA_COEFFICIENT",
     "DEFAULT_EXACT_BUDGET",
     "EXPORT_FORMATS",
     "BoundsReport",

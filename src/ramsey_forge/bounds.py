@@ -21,10 +21,6 @@ from .incidence_graphs import IncidenceGraph
 
 DEFAULT_EXACT_BUDGET = 64
 
-# Coefficient of the crude n**(2/3) cap on points + blocks for the trimmed
-# any-size family: 48 * cbrt(2).
-ANY_N_ALPHA_COEFFICIENT = 48.0 * 2.0 ** (1.0 / 3.0)
-
 
 @dataclass(frozen=True)
 class IndependentSet:
@@ -286,7 +282,7 @@ def ravsky_quadratic_check(design: Design) -> bool:
 def any_n_alpha_cap(n: int) -> float:
     """Crude cap, 48 * cbrt(2) * n**(2/3), on points + blocks of the
     trimmed any-size family with ``n`` incidences."""
-    return ANY_N_ALPHA_COEFFICIENT * float(n) ** (2.0 / 3.0)
+    return 48.0 * 2.0 ** (1.0 / 3.0) * float(n) ** (2.0 / 3.0)
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,6 @@ from .designs import (
 )
 from .incidence_graphs import (
     EXPORT_FORMATS,
-    MAX_GRAPH_VERTICES,
     IncidenceGraph,
     OrderedDesign,
     _check_graph_size,
@@ -145,12 +144,6 @@ def _construct_family(args) -> tuple[Design, Optional[TrimTrace]]:
         strength = _require(args.strength, "--strength")
         blocks = _require(args.blocks, "--blocks")
         seed = args.seed if args.seed is not None else _default_seed()
-        # no more blocks fit than the packing bound C(v, t) // C(k, t); more
-        # points than the cap fail the gate anyway, so C(v, t) stays small
-        if 1 <= strength <= block_size <= points <= MAX_GRAPH_VERTICES:
-            fit = math.comb(points, strength) // math.comb(block_size, strength)
-            blocks = min(blocks, fit)
-        _check_graph_size(blocks * block_size + points)
         return random_packing(points, block_size, strength, blocks, seed), None
     raise UsageError(f"unknown family {family!r}")
 
@@ -161,6 +154,10 @@ def cmd_construct(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     out = Path(args.out)
+    # a given trace path may name the design (the default one never does)
+    given = trace is not None and args.trace_out is not None
+    if given and os.path.realpath(args.trace_out) == os.path.realpath(out):
+        raise UsageError(f"--trace-out names the design path {out}")
     _write(out, design_to_json(design))
     if trace is not None:
         trace_path = (

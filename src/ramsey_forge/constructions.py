@@ -16,6 +16,7 @@ from itertools import combinations
 from typing import Optional
 
 from .designs import MAX_REGISTERED_SUBSETS, Design
+from .incidence_graphs import MAX_GRAPH_VERTICES, _check_graph_size
 
 # random_packing stops after this many consecutive rejected samples.
 REJECTION_BUDGET = 1000
@@ -195,9 +196,11 @@ def random_packing(
     duplicated ``strength``-subset; sampling stops at ``target_blocks``
     accepted blocks or after ``REJECTION_BUDGET`` consecutive rejections.
     Points still uncovered afterwards are wrapped in singleton blocks, so
-    the result always validates.  Same inputs, same design.  Raises
-    ValueError up front when the sampled blocks could hold more than
-    ``MAX_REGISTERED_SUBSETS`` ``strength``-subsets.
+    the result always validates.  Same inputs, same design.  The target is
+    first cut to the packing bound C(point_count, strength) // C(block_size,
+    strength), which never changes the design; then ValueError is raised if
+    the design could exceed ``MAX_GRAPH_VERTICES`` incidences or its blocks
+    ``MAX_REGISTERED_SUBSETS`` strength-subsets.
     """
     if block_size < 1 or strength < 1:
         raise ValueError("block_size and strength must be >= 1")
@@ -205,6 +208,11 @@ def random_packing(
         raise ValueError("block_size cannot exceed point_count")
     if target_blocks < 0:
         raise ValueError("target_blocks must be >= 0")
+    # past the graph cap the gate below fails anyway; this skips a huge comb()
+    if strength <= block_size and point_count <= MAX_GRAPH_VERTICES:
+        fit = math.comb(point_count, strength) // math.comb(block_size, strength)
+        target_blocks = min(target_blocks, fit)
+    _check_graph_size(target_blocks * block_size + point_count)
     subsets = math.comb(block_size, strength) * max(target_blocks, 1)
     if subsets > MAX_REGISTERED_SUBSETS:
         raise ValueError(

@@ -8,16 +8,20 @@ earlier, procedural formulation of the greedy pass as a reference, the
 export oracle the earlier exporter that formats one explicit edge list, and
 the branch-and-bound oracle the earlier recursive exact solver, the
 block-pair oracle the earlier graph builder that sets both ends of every
-edge through a pair-to-index dict, and the trim oracle the earlier
-exact-size trim that pops incidences off the affine plane in two loops.
+edge through a pair-to-index dict, the trim oracle the earlier
+exact-size trim that pops incidences off the affine plane in two loops, and
+the random-packing oracle the earlier sampler that does not cut its target
+to the packing bound.
 """
 
 import json
+import random
 from itertools import combinations
 
 import numpy as np
 
 from ramsey_forge import Design, TrimTrace, affine_plane, smallest_prime_in
+from ramsey_forge.constructions import REJECTION_BUDGET
 
 ENUMERATION_CAP = 22
 
@@ -284,3 +288,28 @@ def trim_by_popping(n):
         labels=tuple(base.labels[old] for old in old_points),
     )
     return design, TrimTrace(n=n, k=k, p=p, removed=tuple(removed))
+
+
+def random_packing_uncut(point_count, block_size, strength, target_blocks, seed):
+    """Seeded random packing sampled toward ``target_blocks`` as given.
+
+    The same rejection sampling as ``random_packing`` (stop at the target or
+    after ``REJECTION_BUDGET`` consecutive rejections, then cover leftover
+    points with singletons), with no cut to the packing bound and no caps.
+    """
+    rng = random.Random(seed)
+    owner = set()
+    accepted = []
+    rejections = 0
+    while len(accepted) < target_blocks and rejections < REJECTION_BUDGET:
+        block = tuple(sorted(rng.sample(range(point_count), block_size)))
+        subsets = list(combinations(block, strength))
+        if any(s in owner for s in subsets):
+            rejections += 1
+            continue
+        owner.update(subsets)
+        accepted.append(block)
+        rejections = 0
+    covered = {pt for block in accepted for pt in block}
+    blocks = accepted + [(pt,) for pt in range(point_count) if pt not in covered]
+    return Design(point_count=point_count, blocks=tuple(blocks), strength=strength)

@@ -141,6 +141,26 @@ def test_construct_trim_writes_trace(tmp_path, capsys):
     assert trace == {"n": 10, "k": 2, "p": 2, "removed": [[5, 3], [4, 1]]}
 
 
+@pytest.mark.parametrize(
+    "out, trace_out",
+    [("d.json", "d.json"), ("./d.json", "d.json"), ("d.json", "sub/../d.json")],
+)
+def test_construct_refuses_a_trace_path_equal_to_the_design_path(
+    tmp_path, capsys, monkeypatch, out, trace_out
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    code, stdout, stderr = run(
+        ["construct", "--family", "trim", "--n", "10", "--out", out,
+         "--trace-out", trace_out],
+        capsys,
+    )
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"error: --trace-out names the design path {Path(out)}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+
+
 def test_construct_random_seed_env_override(tmp_path, capsys, monkeypatch):
     argv = [
         "construct", "--family", "random", "--points", "10", "--block-size", "3",

@@ -5,18 +5,24 @@ block sizes, point degrees), the grid family against its closed-form counts,
 and the exact-size trim against hand-traced runs, its invariant chain
 n <= k^3 + k^2 <= 6n, k <= p <= 2k for every n up to 300, and the earlier
 two-loop trim in ``oracles.trim_by_popping``.  Grid designs are pinned by
-the sha256 of their JSON.
+the sha256 of their JSON.  The random packing is checked against its caps
+and against ``oracles.random_packing_uncut``, which samples toward the
+target as given, uncut by the packing bound.
 """
 
 import hashlib
 from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramsey_forge import (
     TrimTrace,
     affine_plane,
+    constructions,
     design_to_json,
     fisher_holds,
     grid_line_design,
@@ -31,8 +37,9 @@ from ramsey_forge import (
     validate_packing,
 )
 from ramsey_forge.designs import MAX_REGISTERED_SUBSETS
+from ramsey_forge.incidence_graphs import MAX_GRAPH_VERTICES
 
-from oracles import trim_by_popping
+from oracles import random_packing_uncut, trim_by_popping
 
 
 def test_is_prime_matches_definition():
@@ -240,15 +247,53 @@ def test_random_packing_rejects_impossible_parameters():
         random_packing(3, 2, 2, -4, seed=0)
 
 
-def test_random_packing_refuses_oversized_subset_lists():
+def test_random_packing_refuses_oversized_subset_lists(monkeypatch):
     # C(60, 30) subsets of one sampled block: refused before any is listed
     with pytest.raises(ValueError, match="30-subsets, above the cap"):
         random_packing(60, 60, 30, 1, seed=0)
     with pytest.raises(ValueError, match="above the cap"):
         random_packing(60, 60, 30, 0, seed=0)
-    # closed-form boundary: C(5, 1) * target_blocks against the cap; the
-    # second block is always rejected, so sampling at the cap stops quickly
+    # a target at the cap is cut to the one block that fits before counting
     at_cap = MAX_REGISTERED_SUBSETS // 5
     assert random_packing(5, 5, 1, at_cap, seed=0).blocks == ((0, 1, 2, 3, 4),)
-    with pytest.raises(ValueError, match="above the cap"):
-        random_packing(5, 5, 1, at_cap + 1, seed=0)
+    # closed-form boundary below the packing bound C(10, 1) // C(2, 1) = 5:
+    # C(2, 1) * target_blocks against a cap of 8
+    monkeypatch.setattr(constructions, "MAX_REGISTERED_SUBSETS", 8)
+    random_packing(10, 2, 1, 4, seed=0)
+    with pytest.raises(ValueError, match="10 1-subsets, above the cap of 8"):
+        random_packing(10, 2, 1, 5, seed=0)
+
+
+def test_random_packing_cuts_the_target_to_the_packing_bound():
+    # 10 points hold at most C(10, 2) // C(3, 2) = 15 blocks of 3 at
+    # strength 2, so a target of 10**7 lists no more subsets than 15 would
+    design = random_packing(10, 3, 2, 10**7, seed=0)
+    assert design == random_packing(10, 3, 2, 15, seed=0)
+    assert len(design.blocks) == 12
+    assert validate_packing(design).valid
+
+
+def test_random_packing_refuses_designs_above_the_graph_cap():
+    # the singleton blocks alone would give one vertex per point
+    with pytest.raises(
+        ValueError, match="graph would have 65537 vertices, above the cap of 65536"
+    ):
+        random_packing(MAX_GRAPH_VERTICES + 1, 1, 1, 0, seed=0)
+    with pytest.raises(ValueError, match="above the cap of 65536"):
+        random_packing(10**9, 1, 1, 0, seed=0)
+
+
+@settings(max_examples=300)
+@given(point_count=st.integers(1, 12), data=st.data())
+def test_random_packing_matches_the_uncut_sampler(point_count, data):
+    block_size = data.draw(st.integers(1, point_count))
+    strength = data.draw(st.integers(1, block_size + 1))
+    if strength <= block_size:
+        bound = comb(point_count, strength) // comb(block_size, strength)
+    else:
+        bound = point_count  # every block is accepted; no bound applies
+    target = data.draw(st.integers(0, 3 * bound))
+    seed = data.draw(st.integers(0, 2**32))
+    assert random_packing(
+        point_count, block_size, strength, target, seed
+    ) == random_packing_uncut(point_count, block_size, strength, target, seed)

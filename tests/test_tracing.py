@@ -97,3 +97,43 @@ def test_traced_cli_matches_untraced_and_records_counts(tmp_path, capsys):
         {"export_bytes": len(plain[2][3])}
     ]
     assert len(counts["cli.main"]) == 3
+
+
+def test_traced_construct_and_sweep_match_untraced(tmp_path, capsys):
+    tracing = _load_tracing()
+    trim_path = tmp_path / "trim.json"
+    trim_trace = tmp_path / "trim.trace.json"
+    random_path = tmp_path / "random.json"
+    report = tmp_path / "sweep.csv"
+    commands = [
+        (["construct", "--family", "trim", "--n", "600", "--out", str(trim_path)],
+         trim_path),
+        # a target above the packing bound C(16, 3) // C(4, 3) = 140
+        (["construct", "--family", "random", "--points", "16", "--block-size",
+          "4", "--strength", "3", "--blocks", "400", "--seed", "5",
+          "--out", str(random_path)], random_path),
+        (["sweep", "--n", "1..30", "--order", "random:2", "--out", str(report)],
+         report),
+    ]
+    plain = _run_all(commands, capsys)
+    plain_trace = trim_trace.read_bytes()
+    assert [r[0] for r in plain] == [0, 0, 0]
+    assert plain[0][1] == "points: 121\nblocks: 132\nincidences: 600\n"
+
+    tracer = tracing.Tracer()
+    restore = tracing.instrument(tracer)
+    try:
+        traced = _run_all(commands, capsys)
+    finally:
+        restore()
+    assert traced == plain
+    assert trim_trace.read_bytes() == plain_trace
+
+    counts = {}
+    for span in tracer.spans:
+        counts.setdefault(span.name, []).append(span.counts)
+    assert len(counts["constructions.random_packing"]) == 1
+    # one trim for construct, one per n for sweep
+    assert len(counts["constructions.trim_to_n"]) == 1 + 30
+    assert len(counts["incidence_graphs.check_clique_free"]) == 30
+    assert len(counts["cli.main"]) == 3
