@@ -45,7 +45,6 @@ from .incidence_graphs import (
     EXPORT_FORMATS,
     IncidenceGraph,
     OrderedDesign,
-    _check_graph_size,
     build_gamma,
     check_clique_free,
     export_graph,
@@ -123,29 +122,19 @@ def _require(value, flag: str):
 def _construct_family(args) -> tuple[Design, Optional[TrimTrace]]:
     family = args.family
     if family == "projective":
-        p = _require(args.p, "--p")
-        _check_graph_size((p * p + p + 1) * (p + 1))
-        return projective_plane(p), None
+        return projective_plane(_require(args.p, "--p")), None
     if family == "affine":
-        p = _require(args.p, "--p")
-        _check_graph_size(p**3 + p**2)
-        return affine_plane(p), None
+        return affine_plane(_require(args.p, "--p")), None
     if family == "grid":
-        N = _require(args.N, "--N")
-        _check_graph_size(N**4)
-        return grid_line_design(N), None
+        return grid_line_design(_require(args.N, "--N")), None
     if family == "trim":
-        n = _require(args.n, "--n")
-        _check_graph_size(n)
-        return trim_to_n(n)
-    if family == "random":
-        points = _require(args.points, "--points")
-        block_size = _require(args.block_size, "--block-size")
-        strength = _require(args.strength, "--strength")
-        blocks = _require(args.blocks, "--blocks")
-        seed = args.seed if args.seed is not None else _default_seed()
-        return random_packing(points, block_size, strength, blocks, seed), None
-    raise UsageError(f"unknown family {family!r}")
+        return trim_to_n(_require(args.n, "--n"))
+    points = _require(args.points, "--points")
+    block_size = _require(args.block_size, "--block-size")
+    strength = _require(args.strength, "--strength")
+    blocks = _require(args.blocks, "--blocks")
+    seed = args.seed if args.seed is not None else _default_seed()
+    return random_packing(points, block_size, strength, blocks, seed), None
 
 
 def cmd_construct(args) -> int:
@@ -274,13 +263,13 @@ def _parse_range(spec: str) -> tuple[int, int]:
 
 def cmd_sweep(args) -> int:
     lo, hi = _parse_range(args.n)
-    try:
-        _check_graph_size(hi)  # a trim of size n has exactly n vertices
+    try:  # trim_to_n refuses an n above the graph cap before building it
+        last = trim_to_n(hi)
     except ValueError as exc:
         raise UsageError(f"n={hi}: {exc}")
     rows = []
     for n in range(lo, hi + 1):
-        design, _trace = trim_to_n(n)
+        design, _trace = last if n == hi else trim_to_n(n)
         g, seed = _build_graph(design, args.order, f"n={n}")
         if g.n_vertices != n:
             print(f"sweep failed at n={n}: {g.n_vertices} vertices", file=sys.stderr)

@@ -55,8 +55,10 @@ def projective_plane(p: int) -> Design:
     homogeneous triples over the p-element field; point x lies on line L
     exactly when the dot product x . L vanishes mod p.  Every block has
     p + 1 points, every point lies in p + 1 blocks, and any two distinct
-    points share exactly one block.
+    points share exactly one block.  ValueError is raised first when the
+    (p**2 + p + 1)(p + 1) incidences exceed ``MAX_GRAPH_VERTICES`` (p >= 40).
     """
+    _check_graph_size((p * p + p + 1) * (p + 1))
     _require_prime(p)
     triples = _normalized_triples(p)
     blocks = []
@@ -79,8 +81,16 @@ def affine_plane(p: int) -> Design:
     Points are the pairs (x, y) over the p-element field (id = x*p + y);
     blocks are the p**2 lines y = m*x + c followed by the p vertical lines
     x = c.  That gives p**2 points and p**2 + p blocks of p points each,
-    with every point pair on exactly one block.
+    with every point pair on exactly one block.  ValueError is raised first
+    when the p**3 + p**2 incidences exceed ``MAX_GRAPH_VERTICES`` (p >= 40);
+    :func:`trim_to_n` builds larger planes, of which it keeps a prefix.
     """
+    _check_graph_size(p**3 + p**2)
+    return _affine_plane(p)
+
+
+def _affine_plane(p: int) -> Design:
+    """:func:`affine_plane` without its graph-size gate."""
     _require_prime(p)
     blocks = []
     for m in range(p):
@@ -100,8 +110,10 @@ def grid_line_design(N: int) -> Design:
     [1, N] x [1, 2*N**2].  The point set is restricted to grid points that
     lie on at least one of these lines (the full grid would contain
     uncovered points).  Two points share at most one line, so the result is
-    a valid strength-2 design with N**4 incidence pairs.
+    a valid strength-2 design with N**4 incidence pairs.  ValueError is
+    raised first when N**4 exceeds ``MAX_GRAPH_VERTICES`` (N > 16).
     """
+    _check_graph_size(N**4)
     if N < 1:
         raise ValueError("N must be >= 1")
     lines = [
@@ -164,8 +176,10 @@ def trim_to_n(n: int) -> tuple[Design, TrimTrace]:
     design keeps the walk's first n incidences, restricted (and densely
     relabelled) to the points they cover, so it passes validation; the
     trace's ``removed`` is the rest of the walk reversed: last block
-    backwards, largest point first.
+    backwards, largest point first.  Its graph has n vertices, so ValueError
+    is raised first when n exceeds ``MAX_GRAPH_VERTICES``.
     """
+    _check_graph_size(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     k = 1
@@ -173,7 +187,7 @@ def trim_to_n(n: int) -> tuple[Design, TrimTrace]:
         k += 1
     p = smallest_prime_in(k, 2 * k)
     assert p is not None  # Bertrand's postulate
-    base = affine_plane(p)
+    base = _affine_plane(p)
     walk = [(i, block[0]) for i, block in enumerate(base.blocks)]
     walk += [(i, pt) for i, block in enumerate(base.blocks) for pt in block[1:]]
     kept: list[list[int]] = [[] for _ in base.blocks]

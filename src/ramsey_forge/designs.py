@@ -101,20 +101,20 @@ class Design:
 class ValidationReport:
     """Outcome of :func:`validate_packing`.
 
-    ``valid`` holds exactly when ``violations`` is empty; ``total_violations``
-    counts every violation even when the witness list was truncated at
-    ``MAX_WITNESSES``.
+    ``valid`` is derived from ``total_violations``, which counts every
+    violation even when the witness list was truncated at ``MAX_WITNESSES``.
     """
 
-    valid: bool
     violations: tuple[Violation, ...]
     total_violations: int
 
     def __post_init__(self) -> None:
-        if self.valid != (self.total_violations == 0):
-            raise ValueError("valid flag inconsistent with violation count")
         if self.valid and self.violations:
             raise ValueError("a valid report cannot carry witnesses")
+
+    @property
+    def valid(self) -> bool:
+        return self.total_violations == 0
 
 
 class InvalidPacking(ValueError):
@@ -190,9 +190,7 @@ def validate_packing(design: Design) -> ValidationReport:
     for duplicate in _duplicated_subsets(design.blocks, design.strength):
         add(duplicate)
 
-    return ValidationReport(
-        valid=(total == 0), violations=tuple(violations), total_violations=total
-    )
+    return ValidationReport(violations=tuple(violations), total_violations=total)
 
 
 def _covers_all(design: Design) -> bool:
@@ -259,6 +257,8 @@ def design_from_json(text: str) -> Design:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not a design document: {exc}") from exc
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise ValueError("not a design document: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("not a design document: expected a JSON object")
     for key in ("point_count", "strength", "blocks"):
@@ -281,10 +281,6 @@ def design_from_json(text: str) -> Design:
     if labels is not None:
         if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
             raise ValueError("labels must be a list of strings")
-        labels = tuple(labels)
     return Design(
-        point_count=point_count,
-        blocks=tuple(tuple(b) for b in blocks),
-        strength=strength,
-        labels=labels,
+        point_count=point_count, blocks=blocks, strength=strength, labels=labels
     )

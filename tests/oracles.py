@@ -20,8 +20,8 @@ from itertools import combinations
 
 import numpy as np
 
-from ramsey_forge import Design, TrimTrace, affine_plane, smallest_prime_in
-from ramsey_forge.constructions import REJECTION_BUDGET
+from ramsey_forge import Design, TrimTrace, smallest_prime_in
+from ramsey_forge.constructions import REJECTION_BUDGET, _affine_plane
 
 ENUMERATION_CAP = 22
 
@@ -266,7 +266,7 @@ def trim_by_popping(n):
     while k**3 + k**2 < n:
         k += 1
     p = smallest_prime_in(k, 2 * k)
-    base = affine_plane(p)
+    base = _affine_plane(p)
     blocks = [list(block) for block in base.blocks]
     removed = []
     need = sum(len(block) for block in blocks) - n

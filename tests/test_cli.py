@@ -388,6 +388,25 @@ def test_invalid_design_is_a_usage_error(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["verify", "analyze", "export"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 200000,
+        '{"point_count":1,"strength":2,"blocks":' + "[" * 5000 + "]" * 5000 + "}",
+    ],
+    ids=["unclosed", "well-formed"],
+)
+def test_deeply_nested_design_file_is_a_usage_error(tmp_path, capsys, command, text):
+    # the JSON decoder recurses once per level and overflows the stack
+    nested = tmp_path / "nested.json"
+    nested.write_text(text)
+    code, stdout, stderr = run([command, str(nested)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"error: {nested}: not a design document: nested too deeply\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze", "export"])
 @pytest.mark.parametrize("points", [65537, 10**12])
 def test_design_with_more_points_than_the_graph_cap_is_a_usage_error(
     tmp_path, capsys, command, points

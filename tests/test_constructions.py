@@ -7,7 +7,9 @@ n <= k^3 + k^2 <= 6n, k <= p <= 2k for every n up to 300, and the earlier
 two-loop trim in ``oracles.trim_by_popping``.  Grid designs are pinned by
 the sha256 of their JSON.  The random packing is checked against its caps
 and against ``oracles.random_packing_uncut``, which samples toward the
-target as given, uncut by the packing bound.
+target as given, uncut by the packing bound.  Each constructor's graph-cap
+gate is checked at the family's largest member, one step past it, and far
+past it.
 """
 
 import hashlib
@@ -193,6 +195,36 @@ def test_trim_matches_the_two_loop_oracle():
     # the kept walk prefix and its reversed tail against popping from the back
     for n in [*range(1, 1501), 4000, 20000, 65536]:
         assert trim_to_n(n) == trim_by_popping(n), n
+
+
+@pytest.mark.parametrize(
+    "build, largest, above, far, incidences",
+    [
+        (projective_plane, 37, 41, 10**18 + 3, lambda p: (p * p + p + 1) * (p + 1)),
+        (affine_plane, 37, 41, 10007, lambda p: p**3 + p**2),
+        (grid_line_design, 16, 17, 1000, lambda N: N**4),
+        (lambda n: trim_to_n(n)[0], 65536, 65537, 10**9, lambda n: n),
+    ],
+    ids=["projective", "affine", "grid", "trim"],
+)
+def test_each_constructor_gates_its_graph_size(build, largest, above, far, incidences):
+    # the largest member builds; past it the gate refuses before any work,
+    # even where testing primality or listing the design would not finish
+    design = build(largest)
+    assert incidence_count(design) == incidences(largest) <= MAX_GRAPH_VERTICES
+    for size in (above, far):
+        message = (
+            f"^graph would have {incidences(size)} vertices, above the cap of 65536$"
+        )
+        with pytest.raises(ValueError, match=message):
+            build(size)
+
+
+def test_trim_builds_affine_planes_above_their_gate():
+    # n = 52,023..65,536 needs the plane of order 41, which affine_plane refuses
+    assert trim_to_n(65536)[1].p == 41
+    assert trim_to_n(52023)[1].p == 41
+    assert trim_to_n(52022)[1].p == 37
 
 
 def test_trim_trace_rejects_inconsistent_fields():

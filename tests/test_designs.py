@@ -29,6 +29,7 @@ from ramsey_forge import (
     DuplicatedSubset,
     EmptyBlock,
     UncoveredPoint,
+    ValidationReport,
     design_from_json,
     design_to_json,
     fisher_holds,
@@ -48,6 +49,12 @@ def test_fano_is_valid(fano_by_hand):
     assert report.valid
     assert report.violations == ()
     assert report.total_violations == 0
+
+
+def test_report_validity_is_its_violation_count():
+    assert not ValidationReport((), total_violations=150).valid
+    with pytest.raises(ValueError, match="cannot carry witnesses"):
+        ValidationReport((EmptyBlock(0),), total_violations=0)
 
 
 def test_duplicated_pair_reported():

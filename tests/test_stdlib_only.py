@@ -1,4 +1,5 @@
-"""The runtime package imports nothing outside the standard library."""
+"""The runtime package imports nothing outside the standard library, and
+the command line uses only the package's public names."""
 
 import ast
 import sys
@@ -27,3 +28,17 @@ def test_package_sources_are_found():
 def test_runtime_imports_only_the_standard_library(path):
     foreign = sorted(set(absolute_imports(path)) - sys.stdlib_module_names)
     assert foreign == [], f"{path.name} imports {foreign}"
+
+
+def private_package_imports(path):
+    """``_``-prefixed names one source file imports from the package."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == PACKAGE.name
+        ):
+            yield from (a.name for a in node.names if a.name.startswith("_"))
+
+
+def test_cli_imports_only_public_names():
+    private = sorted(private_package_imports(PACKAGE / "cli.py"))
+    assert private == [], f"cli.py imports {private}"

@@ -137,3 +137,42 @@ def test_traced_construct_and_sweep_match_untraced(tmp_path, capsys):
     assert len(counts["constructions.trim_to_n"]) == 1 + 30
     assert len(counts["incidence_graphs.check_clique_free"]) == 30
     assert len(counts["cli.main"]) == 3
+
+
+def test_traced_construct_of_gated_families_matches_untraced(tmp_path, capsys):
+    # each family's graph-cap gate runs inside its constructor, which the
+    # tracer wraps, as in the benchmark's traced set-up; the refused
+    # projective 41 writes no file
+    tracing = _load_tracing()
+    commands = []
+    for family, flag, value in (
+        ("projective", "--p", "3"), ("affine", "--p", "3"), ("grid", "--N", "2")
+    ):
+        out = tmp_path / f"{family}.json"
+        commands.append(
+            (["construct", "--family", family, flag, value, "--out", str(out)], out)
+        )
+    refused = tmp_path / "projective41.json"
+    commands.append(
+        (["construct", "--family", "projective", "--p", "41", "--out", str(refused)],
+         None)
+    )
+    plain = _run_all(commands, capsys)
+    assert [r[0] for r in plain] == [0, 0, 0, 2]
+    assert plain[3][1:] == (
+        "", "error: graph would have 72366 vertices, above the cap of 65536\n", None
+    )
+
+    tracer = tracing.Tracer()
+    restore = tracing.instrument(tracer)
+    try:
+        traced = _run_all(commands, capsys)
+    finally:
+        restore()
+    assert traced == plain
+    assert not refused.exists()
+    names = [span.name for span in tracer.spans]
+    assert names.count("constructions.projective_plane") == 2
+    assert names.count("constructions.affine_plane") == 1
+    assert names.count("constructions.grid_line_design") == 1
+    assert names.count("cli.main") == 4
