@@ -9,6 +9,7 @@ strengths above 2.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -22,10 +23,41 @@ from .incidence_graphs import MAX_GRAPH_VERTICES, _check_graph_size
 REJECTION_BUDGET = 1000
 
 
+# Miller-Rabin to the thirteen prime bases 2..41 decides primality exactly
+# below this bound, the least composite that passes all of them; the twelve
+# bases 2..37 alone pass the composite 318665857834031151167461.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BASES_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality by deterministic Miller-Rabin, below about 3.3e24.
+
+    Raises ValueError from ``_PRIME_BASES_BOUND`` on, where the fixed bases
+    no longer decide it.
+    """
+    if n >= _PRIME_BASES_BOUND:
+        raise ValueError(
+            f"is_prime is exact only below {_PRIME_BASES_BOUND}, got {n}"
+        )
     if n < 2:
         return False
-    return all(n % d for d in range(2, math.isqrt(n) + 1))
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s, d odd
+    d = (n - 1) >> s
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
 
 
 def smallest_prime_in(lo: int, hi: int) -> Optional[int]:
@@ -166,6 +198,18 @@ class TrimTrace:
             raise ValueError("removed-incidence count does not match n")
 
 
+@functools.cache
+def _trim_walk(p: int) -> tuple[Design, tuple[tuple[int, int], ...]]:
+    """The affine plane of order p and :func:`trim_to_n`'s walk over it.
+
+    Built once per p: under the graph cap trims use 13 primes, p <= 41.
+    """
+    base = _affine_plane(p)
+    walk = [(i, block[0]) for i, block in enumerate(base.blocks)]
+    walk += [(i, pt) for i, block in enumerate(base.blocks) for pt in block[1:]]
+    return base, tuple(walk)
+
+
 def trim_to_n(n: int) -> tuple[Design, TrimTrace]:
     """Strength-2 design with exactly ``n`` incidence pairs, for any n >= 1.
 
@@ -187,9 +231,7 @@ def trim_to_n(n: int) -> tuple[Design, TrimTrace]:
         k += 1
     p = smallest_prime_in(k, 2 * k)
     assert p is not None  # Bertrand's postulate
-    base = _affine_plane(p)
-    walk = [(i, block[0]) for i, block in enumerate(base.blocks)]
-    walk += [(i, pt) for i, block in enumerate(base.blocks) for pt in block[1:]]
+    base, walk = _trim_walk(p)
     kept: list[list[int]] = [[] for _ in base.blocks]
     for i, pt in walk[:n]:
         kept[i].append(pt)

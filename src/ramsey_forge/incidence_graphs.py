@@ -6,7 +6,12 @@ exactly when B1 != B2, the smaller of the two points belongs to the *other*
 pair's block, i.e. for x < y: x is a member of B2.  Pairs sharing a point or
 a block are never adjacent.  When the design is a valid strength-(m-1)
 packing the graph contains no clique of size m; :func:`check_clique_free`
-certifies that exhaustively and returns a witness whenever it fails.
+certifies that exhaustively and returns a witness whenever it fails.  It
+searches one point fiber at a time: a point's pairs are pairwise
+non-adjacent, so the other members of a clique that starts in the fiber lie
+among the fiber's neighbours above it, and one search there clears the
+whole fiber.  A fiber where that search finds a clique, and any run of
+vertices that is not independent, is searched vertex by vertex.
 
 Adjacency is stored as one bit row per vertex (arbitrary-precision ints),
 which makes common-neighborhood intersections single AND operations.
@@ -172,12 +177,20 @@ def check_clique_free(g: IncidenceGraph, m: int) -> Optional[tuple[int, ...]]:
     """Exhaustively search for an m-clique; None certifies there is none.
 
     A found clique is returned as the lexicographically first witness in
-    vertex-index order.  One depth-first search serves every m: the clique
-    so far is extended by each candidate v in ascending order, and the
-    candidates for the next vertex are those above v that are adjacent to v
-    and to the whole clique (one AND of bit rows).  A branch is cut only
-    when fewer candidates remain than vertices are still needed, so the
-    search stays exhaustive.
+    vertex-index order.  The search walks the vertex list in runs of equal
+    point id, a point's fiber.  When a run is an independent set, every
+    clique whose smallest vertex lies in it has all its other m - 1 members
+    among the run's neighbours above the run's last index, so one search for
+    an (m-1)-clique there (inside the OR of the run's rows) rules out the
+    whole run.  A run with an internal edge, or whose search finds a
+    clique, falls back to the per-vertex search over its own vertices:
+    each v in ascending order, with the neighbours above v as candidates,
+    which returns the first witness.  Both searches share one depth-first
+    extension: the clique so far is extended by each candidate v in
+    ascending order, and the candidates for the next vertex are those above
+    v that are adjacent to v and to the whole clique (one AND of bit rows).
+    A branch is cut only when fewer candidates remain than vertices are
+    still needed, so the search stays exhaustive for any vertex list.
     """
     if m < 1:
         raise ValueError("clique size must be >= 1")
@@ -199,7 +212,24 @@ def check_clique_free(g: IncidenceGraph, m: int) -> Optional[tuple[int, ...]]:
                 clique.pop()
         return False
 
-    return tuple(clique) if extend((1 << g.n_vertices) - 1, m) else None
+    points = [x for x, _ in g.vertices]
+    n = len(points)
+    start = 0
+    while start < n:
+        end = start + 1
+        while end < n and points[end] == points[start]:
+            end += 1
+        union = 0
+        for v in range(start, end):
+            union |= adj[v]
+        independent = not (union >> start) & ((1 << (end - start)) - 1)
+        if not independent or extend(union >> end << end, m - 1):
+            for v in range(start, end):
+                clique[:] = [v]
+                if extend(adj[v] >> (v + 1) << (v + 1), m - 1):
+                    return tuple(clique)
+        start = end
+    return None
 
 
 def export_graph(g: IncidenceGraph, fmt: str) -> bytes:

@@ -7,6 +7,7 @@ deliberately slow and only usable at desk scale.  The greedy oracle keeps an
 earlier, procedural formulation of the greedy pass as a reference, the
 export oracle the earlier exporter that formats one explicit edge list, and
 the branch-and-bound oracle the earlier recursive exact solver, the
+clique-search oracle the earlier search that starts from every vertex, the
 block-pair oracle the earlier graph builder that sets both ends of every
 edge through a pair-to-index dict, the trim oracle the earlier
 exact-size trim that pops incidences off the affine plane in two loops, and
@@ -218,6 +219,35 @@ def first_clique_brute(adjacency, m):
         ):
             return subset
     return None
+
+
+def first_clique_by_dfs(adjacency, m):
+    """The lexicographically first m-clique, or None, by one depth-first search.
+
+    The library's earlier clique search: extend the clique so far by each
+    candidate v in ascending order, where the candidates for the next vertex
+    are those above v adjacent to the whole clique, starting from every
+    vertex in turn, and cut a branch only when fewer candidates remain than
+    vertices are still needed.
+    """
+    clique = []
+
+    def extend(rest, need):
+        if not need:
+            return True
+        while rest:
+            lsb = rest & -rest
+            v = lsb.bit_length() - 1
+            rest ^= lsb
+            nxt = rest & adjacency[v]
+            if nxt.bit_count() >= need - 1:
+                clique.append(v)
+                if extend(nxt, need - 1):
+                    return True
+                clique.pop()
+        return False
+
+    return tuple(clique) if extend((1 << len(adjacency)) - 1, m) else None
 
 
 def has_clique_brute(adjacency, m):

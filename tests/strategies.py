@@ -29,6 +29,44 @@ def random_graphs(draw, max_n, min_n=0):
 
 
 @st.composite
+def fibered_graphs(draw, max_n):
+    """Random graphs on 0..max_n vertices whose point ids repeat in runs.
+
+    Vertex i is labelled (point id, i), and consecutive vertices share a
+    point id in runs of one to four.  Each run of two or more is either
+    stripped of its internal edges, as a point's fiber in a built graph is,
+    or given at least one internal edge, so the clique search meets both
+    independent runs and runs it must search vertex by vertex.
+    """
+    n = draw(st.integers(0, max_n))
+    density = draw(st.integers(0, 100))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    adjacency = [0] * n
+    for u, v in combinations(range(n), 2):
+        if rng.randrange(100) < density:
+            adjacency[u] |= 1 << v
+            adjacency[v] |= 1 << u
+    vertices = []
+    while len(vertices) < n:
+        start = len(vertices)
+        run = range(start, min(n, start + rng.randint(1, 4)))
+        vertices += [(start, v) for v in run]
+        if len(run) < 2:
+            continue
+        if rng.randrange(2):
+            inside = sum(1 << v for v in run)
+            for v in run:
+                adjacency[v] &= ~inside
+        else:
+            u, v = rng.sample(run, 2)
+            adjacency[u] |= 1 << v
+            adjacency[v] |= 1 << u
+    return IncidenceGraph(
+        vertices=tuple(vertices), adjacency=tuple(adjacency), m=3
+    )
+
+
+@st.composite
 def graphs_with_triangles(draw, max_n):
     """Random graphs on 3..max_n vertices with triangles planted on random
     triples.  The first sits on vertices 0, 1 and 2, so the greedy clique

@@ -13,9 +13,10 @@ past it.
 """
 
 import hashlib
+import time
 from collections import Counter
 from itertools import combinations
-from math import comb
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -45,9 +46,28 @@ from oracles import random_packing_uncut, trim_by_popping
 
 
 def test_is_prime_matches_definition():
-    for n in range(-5, 3000):
-        naive = n >= 2 and all(n % d for d in range(2, n))
+    for n in range(-5, 10**5):
+        naive = n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
         assert is_prime(n) == naive
+
+
+def test_is_prime_decides_large_numbers_at_once():
+    start = time.perf_counter()
+    assert is_prime(10**18 + 3)
+    assert not is_prime((10**9 + 7) * (10**9 + 9))
+    # a strong pseudoprime to every prime base up to 37
+    assert not is_prime(399165290221 * 798330580441)
+    assert is_prime(2**61 - 1)
+    assert time.perf_counter() - start < 1
+    assert smallest_prime_in(10**18, 10**18 + 10) == 10**18 + 3
+
+
+def test_is_prime_refuses_numbers_past_its_exact_range():
+    bound = 3317044064679887385961981
+    assert not is_prime(bound - 1)
+    for n in (bound, 10**30):
+        with pytest.raises(ValueError, match=f"exact only below {bound}"):
+            is_prime(n)
 
 
 def test_prime_field_rejects_composite_order():
@@ -218,6 +238,26 @@ def test_each_constructor_gates_its_graph_size(build, largest, above, far, incid
         )
         with pytest.raises(ValueError, match=message):
             build(size)
+
+
+def test_trim_builds_each_affine_plane_once(monkeypatch):
+    # a sweep over n = 1..600 needs the planes of five orders, and builds
+    # each once; the oracle builds its own planes and pins the designs
+    plane = constructions._affine_plane
+    built = []
+
+    def counting_plane(p):
+        built.append(p)
+        return plane(p)
+
+    monkeypatch.setattr(constructions, "_affine_plane", counting_plane)
+    constructions._trim_walk.cache_clear()
+    try:
+        for n in range(1, 601):
+            assert trim_to_n(n) == trim_by_popping(n), n
+    finally:
+        constructions._trim_walk.cache_clear()
+    assert built == [2, 3, 5, 7, 11]
 
 
 def test_trim_builds_affine_planes_above_their_gate():

@@ -42,13 +42,17 @@ from oracles import (
     brute_force_adjacency,
     export_by_edge_list,
     first_clique_brute,
+    first_clique_by_dfs,
     greedy_by_retiring_blocks,
     has_clique_brute,
 )
-from strategies import packings, random_graphs
+from strategies import fibered_graphs, packings, random_graphs
 
 # Keeps the m-subset enumeration of first_clique_brute at desk scale.
 MAX_ORACLE_VERTICES = 24
+# The same at m = strength + 2, where packings hold no clique and the
+# enumeration runs to the end.
+MAX_STRENGTH_SWEEP_VERTICES = 20
 
 
 def _planted_clique_graph(size):
@@ -244,6 +248,65 @@ def test_planted_triangle_is_found():
 def test_clique_search_matches_enumeration_on_random_graphs(g):
     for m in range(1, 7):
         assert check_clique_free(g, m) == first_clique_brute(g.adjacency, m)
+
+
+@settings(max_examples=200)
+@given(fibered_graphs(13))
+def test_clique_search_matches_enumeration_on_fibered_graphs(g):
+    # runs of one point id, some independent (one search rules the run
+    # out) and some with an internal edge (searched vertex by vertex)
+    for m in range(1, 7):
+        assert check_clique_free(g, m) == first_clique_brute(g.adjacency, m)
+
+
+@settings(max_examples=60)
+@given(packings((1, 2, 3, 4), MAX_STRENGTH_SWEEP_VERTICES))
+def test_clique_search_matches_enumeration_on_packings_of_every_strength(od):
+    g = build_gamma(od)
+    # m = strength, strength + 1 and strength + 2
+    for m in (g.m - 1, g.m, g.m + 1):
+        assert check_clique_free(g, m) == first_clique_brute(g.adjacency, m)
+
+
+def test_clique_search_on_the_empty_graph_and_above_the_vertex_count(fano):
+    empty = IncidenceGraph(vertices=(), adjacency=(), m=3)
+    for m in range(1, 4):
+        assert check_clique_free(empty, m) is None
+    g = build_gamma(OrderedDesign.random_order(fano, 1))
+    for m in (g.n_vertices + 1, g.n_vertices + 5):
+        assert check_clique_free(g, m) is None
+        assert first_clique_by_dfs(g.adjacency, m) is None
+
+
+def _scale_graph(family, order_seed):
+    design = {
+        "projective7": lambda: projective_plane(7),
+        "projective11": lambda: projective_plane(11),
+        "trim4000": lambda: trim_to_n(4000)[0],
+        "strength4": lambda: random_packing(50, 6, 4, 300, seed=1),
+    }[family]()
+    return build_gamma(OrderedDesign.random_order(design, order_seed))
+
+
+@pytest.mark.parametrize(
+    "family, order_seed, m, has_witness",
+    [
+        ("projective7", 1, 3, False),
+        ("projective7", 2, 3, False),
+        ("projective11", 1, 3, False),
+        ("projective11", 2, 3, False),
+        ("trim4000", 1, 3, False),
+        ("strength4", 2, 4, True),
+        ("strength4", 2, 5, False),
+    ],
+)
+def test_clique_search_matches_the_dfs_oracle_at_scale(
+    family, order_seed, m, has_witness
+):
+    g = _scale_graph(family, order_seed)
+    witness = check_clique_free(g, m)
+    assert witness == first_clique_by_dfs(g.adjacency, m)
+    assert (witness is not None) == has_witness
 
 
 @settings(max_examples=60)

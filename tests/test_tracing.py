@@ -69,6 +69,19 @@ def test_traced_cli_matches_untraced_and_records_counts(tmp_path, capsys):
         restore()
     assert traced == plain
 
+    # verify runs first and ends with its cli.main span; its layer spans
+    # are exactly these, so the clique search calls no public, and so
+    # traced, function of its own
+    names = [span.name for span in tracer.spans if not span.probe]
+    assert set(names[: names.index("cli.main") + 1]) == {
+        "cli.main",
+        "cli.cmd_verify",
+        "designs.design_from_json",
+        "designs.incidence_count",
+        "designs.validate_packing",
+        "incidence_graphs.build_gamma",
+        "incidence_graphs.check_clique_free",
+    }
     counts = {}
     for span in tracer.spans:
         counts.setdefault(span.name, []).append(span.counts)
