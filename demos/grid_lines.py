@@ -9,15 +9,17 @@ unlike the plane families (exponent 2/3), this family's independence number
 grows like vertices^(3/4).
 """
 
+import io
+
 from ramsey_forge import (
     OrderedDesign,
     build_gamma,
     check_clique_free,
-    export_graph,
     greedy_independent_set,
     grid_line_design,
     rectangle_free,
     upper_bound_alpha,
+    write_graph,
 )
 
 
@@ -52,7 +54,9 @@ def main():
 
     g = build_gamma(OrderedDesign.id_order(design))
     print("Its graph in DIMACS form (reproducible byte-for-byte):")
-    print(export_graph(g, "dimacs").decode().rstrip())
+    dimacs = io.BytesIO()
+    write_graph(g, "dimacs", dimacs)
+    print(dimacs.getvalue().decode().rstrip())
 
 
 if __name__ == "__main__":

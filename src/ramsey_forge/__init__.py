@@ -56,7 +56,7 @@ from .incidence_graphs import (
     OrderedDesign,
     build_gamma,
     check_clique_free,
-    export_graph,
+    write_graph,
 )
 
 __version__ = "0.1.0"
@@ -84,7 +84,6 @@ __all__ = [
     "design_from_json",
     "design_to_json",
     "exact_max_independent_set",
-    "export_graph",
     "fisher_holds",
     "greedy_independent_set",
     "grid_line_design",
@@ -103,4 +102,5 @@ __all__ = [
     "upper_bound_alpha",
     "validate_packing",
     "verify_independent",
+    "write_graph",
 ]

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
@@ -47,7 +48,7 @@ from .incidence_graphs import (
     OrderedDesign,
     build_gamma,
     check_clique_free,
-    export_graph,
+    write_graph,
 )
 
 SEED_ENV_VAR = "RAMSEY_FORGE_SEED"
@@ -79,11 +80,20 @@ def _load_design(path: str) -> Design:
         raise UsageError(f"{path}: {exc}")
 
 
-def _write(path: Path, data: str | bytes) -> None:
+@contextmanager
+def _writing(path: Path, mode: str):
+    """Open ``path`` for writing; an OSError from the open, a write or the
+    close is a usage error.  A file left part-written stays."""
     try:
-        (path.write_bytes if isinstance(data, bytes) else path.write_text)(data)
+        with path.open(mode) as out:
+            yield out
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}")
+
+
+def _write(path: Path, text: str) -> None:
+    with _writing(path, "w") as out:
+        out.write(text)
 
 
 def _make_ordered(design: Design, spec: str) -> tuple[OrderedDesign, Optional[int]]:
@@ -235,11 +245,20 @@ def cmd_analyze(args) -> int:
 def cmd_export(args) -> int:
     design = _load_design(args.design)
     g, _seed = _build_graph(design, args.order, args.design)
-    data = export_graph(g, args.format)
-    if args.out is None:
-        sys.stdout.buffer.write(data)
-    else:
-        _write(Path(args.out), data)
+    if args.out is not None:
+        with _writing(Path(args.out), "wb") as out:
+            write_graph(g, args.format, out)
+        return 0
+    try:
+        write_graph(g, args.format, sys.stdout.buffer)
+        sys.stdout.buffer.flush()
+    except BrokenPipeError:
+        # The reader has gone (`export ... | head`): stop writing, and point
+        # fd 1 at the null device so the interpreter's final flush of the
+        # rows still buffered stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 

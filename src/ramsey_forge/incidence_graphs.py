@@ -15,13 +15,15 @@ vertices that is not independent, is searched vertex by vertex.
 
 Adjacency is stored as one bit row per vertex (arbitrary-precision ints),
 which makes common-neighborhood intersections single AND operations.
+:func:`write_graph` streams a graph to a binary file one vertex row at a
+time, as DIMACS or edge-json.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import BinaryIO, Optional
 
 from .designs import Design, InvalidPacking, incidence_count, validate_packing
 
@@ -232,31 +234,39 @@ def check_clique_free(g: IncidenceGraph, m: int) -> Optional[tuple[int, ...]]:
     return None
 
 
-def export_graph(g: IncidenceGraph, fmt: str) -> bytes:
-    """Serialize the graph; byte-exact across runs for the same graph.
+def write_graph(g: IncidenceGraph, fmt: str, out: BinaryIO) -> None:
+    """Write the graph to the binary stream ``out``; byte-exact across runs.
 
     dimacs: "p edge n m" header then one "e u v" line per undirected edge,
     1-based, u < v, ascending.  edge-json: {"n": ..., "edges": [[u, v], ...]}
-    with the same edge ordering, 0-based.  Built as one chunk per vertex row,
-    joined once; edge-json pairs lead with a comma, cut from the first pair.
+    with the same edge ordering, 0-based.  The header, one chunk per vertex
+    row and the edge-json tail go to ``out`` in turn, so beyond the graph the
+    writer holds one row's text; edge-json pairs lead with a comma, cut from
+    the first pair.  A row's upper neighbours are read off its reversed
+    binary string with ``str.find``, one C scan per row.  Pass a file opened
+    for binary writing, or an ``io.BytesIO`` to get the bytes.
     """
     if fmt == "dimacs":
-        base, head, sep, tail = 1, "e {0} ", "\ne {0} ", "\n"
-        chunks = [f"p edge {g.n_vertices} {g.edge_count}\n".encode("ascii")]
+        base, cut, head, sep, tail = 1, 0, "e {0} ", "\ne {0} ", "\n"
+        out.write(f"p edge {g.n_vertices} {g.edge_count}\n".encode("ascii"))
     elif fmt == "edge-json":
-        base, head, sep, tail = 0, ",[{0},", "],[{0},", "]"
-        chunks = [f'{{"n":{g.n_vertices},"edges":['.encode("ascii")]
+        base, cut, head, sep, tail = 0, 1, ",[{0},", "],[{0},", "]"
+        out.write(f'{{"n":{g.n_vertices},"edges":['.encode("ascii"))
     else:
         raise ValueError(f"unsupported export format: {fmt!r}")
     for u, row in enumerate(g.adjacency):
-        label, row, ends = u + base, row >> (u + 1), []
-        while row:
-            lsb = row & -row
-            ends.append(label + lsb.bit_length())
-            row ^= lsb
-        if ends:
-            chunks.append((head + sep.join(map(str, ends)) + tail).format(label).encode())
+        row >>= u + 1
+        if not row:
+            continue
+        label = u + base
+        bits = format(row, "b")[::-1]
+        ends = []
+        i = bits.find("1")
+        while i >= 0:
+            ends.append(label + 1 + i)
+            i = bits.find("1", i + 1)
+        chunk = (head + sep.join(map(str, ends)) + tail).format(label)
+        out.write(chunk[cut:].encode())
+        cut = 0
     if fmt == "edge-json":
-        chunks[1:2] = [chunk[1:] for chunk in chunks[1:2]]
-        chunks.append(b"]}\n")
-    return b"".join(chunks)
+        out.write(b"]}\n")

@@ -6,6 +6,7 @@ must produce byte-identical output files.
 """
 
 import csv
+import io
 import json
 import os
 import subprocess
@@ -14,7 +15,13 @@ from pathlib import Path
 
 import pytest
 
-from ramsey_forge import design_from_json, incidence_count, validate_packing
+from ramsey_forge import (
+    design_from_json,
+    design_to_json,
+    incidence_count,
+    projective_plane,
+    validate_packing,
+)
 from ramsey_forge.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -463,7 +470,7 @@ def test_oversized_graph_is_a_usage_error(tmp_path, capsys, command):
 
 
 def test_export_matches_library(tmp_path, capsys):
-    from ramsey_forge import OrderedDesign, build_gamma, export_graph
+    from ramsey_forge import OrderedDesign, build_gamma, write_graph
 
     design_path = tmp_path / "fano.json"
     run(["construct", "--family", "projective", "--p", "2", "--out", str(design_path)], capsys)
@@ -474,14 +481,56 @@ def test_export_matches_library(tmp_path, capsys):
     )
     assert code == 0
     design = design_from_json(design_path.read_text())
-    expected = export_graph(build_gamma(OrderedDesign.id_order(design)), "dimacs")
-    assert out.read_bytes() == expected
+    expected = io.BytesIO()
+    write_graph(build_gamma(OrderedDesign.id_order(design)), "dimacs", expected)
+    assert out.read_bytes() == expected.getvalue()
 
     out2 = tmp_path / "fano.edges.json"
     run(["export", str(design_path), "--format", "edge-json", "--out", str(out2)], capsys)
     doc = json.loads(out2.read_text())
     assert doc["n"] == 21
     assert len(doc["edges"]) == 42
+
+
+def test_export_to_a_closed_pipe_exits_quietly(tmp_path):
+    # `export ... | head -c 20`: about 1 MB of DIMACS, far above a pipe
+    # buffer, so the writer is still writing rows when the reader leaves
+    design = tmp_path / "plane11.json"
+    design.write_text(design_to_json(projective_plane(11)))
+    stderr = tmp_path / "stderr"
+    with stderr.open("wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ramsey_forge", "export", str(design)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            stdout=subprocess.PIPE,
+            stderr=err,
+        )
+        head = proc.stdout.read(20)
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+    assert head == b"p edge 1596 96558\ne "
+    assert code == 0
+    assert stderr.read_bytes() == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("p", [2, 11], ids=["fails-at-close", "fails-mid-write"])
+def test_export_to_a_full_device_is_a_usage_error(tmp_path, p):
+    design = tmp_path / "plane.json"
+    design.write_text(design_to_json(projective_plane(p)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ramsey_forge", "export", str(design),
+         "--out", "/dev/full"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: cannot write /dev/full: [Errno 28] No space left on device\n"
+    )
 
 
 def test_sweep_range(tmp_path, capsys):

@@ -9,6 +9,7 @@ edge-list exporter on random and packing graphs.  The hypothesis properties
 run derandomized, so the suite draws the same examples on every run.
 """
 
+import io
 import random
 import tracemalloc
 from itertools import combinations
@@ -26,7 +27,6 @@ from ramsey_forge import (
     affine_plane,
     build_gamma,
     check_clique_free,
-    export_graph,
     greedy_independent_set,
     grid_line_design,
     incidence_count,
@@ -34,6 +34,7 @@ from ramsey_forge import (
     random_packing,
     trim_to_n,
     validate_packing,
+    write_graph,
 )
 from ramsey_forge import incidence_graphs
 from ramsey_forge.incidence_graphs import MAX_GRAPH_VERTICES
@@ -53,6 +54,23 @@ MAX_ORACLE_VERTICES = 24
 # The same at m = strength + 2, where packings hold no clique and the
 # enumeration runs to the end.
 MAX_STRENGTH_SWEEP_VERTICES = 20
+
+
+def _exported(g, fmt):
+    """The bytes :func:`write_graph` writes, collected in memory."""
+    out = io.BytesIO()
+    write_graph(g, fmt, out)
+    return out.getvalue()
+
+
+class _CountingSink:
+    """A binary stream that keeps only the number of bytes written to it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, b):
+        self.size += len(b)
 
 
 def _planted_clique_graph(size):
@@ -141,8 +159,8 @@ def test_two_block_graph_pinned_by_hand():
     g = build_gamma(OrderedDesign.id_order(design))
     assert g.vertices == ((0, 0), (0, 1), (1, 0), (2, 1))
     assert g.adjacency == (0b1000, 0b0100, 0b0010, 0b0001)
-    assert export_graph(g, "dimacs") == b"p edge 4 2\ne 1 4\ne 2 3\n"
-    assert export_graph(g, "edge-json") == b'{"n":4,"edges":[[0,3],[1,2]]}\n'
+    assert _exported(g, "dimacs") == b"p edge 4 2\ne 1 4\ne 2 3\n"
+    assert _exported(g, "edge-json") == b'{"n":4,"edges":[[0,3],[1,2]]}\n'
 
 
 def test_adjacency_matches_brute_force_edge_rule(fano, ag22, ag23, grid2):
@@ -349,8 +367,8 @@ def test_k4_detection_uses_the_recursive_path():
 def test_export_of_edgeless_graph():
     design = Design(2, ((0, 1),), strength=2)
     g = build_gamma(OrderedDesign.id_order(design))
-    assert export_graph(g, "dimacs") == b"p edge 2 0\n"
-    assert export_graph(g, "edge-json") == b'{"n":2,"edges":[]}\n'
+    assert _exported(g, "dimacs") == b"p edge 2 0\n"
+    assert _exported(g, "edge-json") == b'{"n":2,"edges":[]}\n'
 
 
 @st.composite
@@ -374,7 +392,7 @@ def _graphs_with_isolated_vertices(draw):
 @given(_graphs_with_isolated_vertices())
 def test_export_matches_edge_list_reference_on_random_graphs(g):
     for fmt in EXPORT_FORMATS:
-        assert export_graph(g, fmt) == export_by_edge_list(g.adjacency, fmt)
+        assert _exported(g, fmt) == export_by_edge_list(g.adjacency, fmt)
 
 
 @settings(max_examples=100)
@@ -382,27 +400,28 @@ def test_export_matches_edge_list_reference_on_random_graphs(g):
 def test_export_matches_edge_list_reference_on_packing_graphs(od):
     g = build_gamma(od)
     for fmt in EXPORT_FORMATS:
-        assert export_graph(g, fmt) == export_by_edge_list(g.adjacency, fmt)
+        assert _exported(g, fmt) == export_by_edge_list(g.adjacency, fmt)
 
 
 def test_export_peak_memory_stays_near_the_output_size():
-    # the row chunks plus the joined output make about twice the output;
-    # formatting a full edge list first peaks at 17-20 times the output
+    # the writer holds one row's text at a time, about 1.5% of the output
+    # here; a writer that kept its chunks until the end would hold it all
     g = build_gamma(OrderedDesign.random_order(projective_plane(11), 3))
     for fmt in EXPORT_FORMATS:
+        sink = _CountingSink()
         tracemalloc.start()
         try:
-            size = len(export_graph(g, fmt))
+            write_graph(g, fmt, sink)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * size, (fmt, peak, size)
+        assert peak <= sink.size // 16, (fmt, peak, sink.size)
 
 
 def test_export_is_byte_stable(fano):
     od = OrderedDesign.id_order(fano)
-    first = export_graph(build_gamma(od), "dimacs")
-    second = export_graph(build_gamma(od), "dimacs")
+    first = _exported(build_gamma(od), "dimacs")
+    second = _exported(build_gamma(od), "dimacs")
     assert first == second
     header = first.splitlines()[0].split()
     assert header == [b"p", b"edge", b"21", b"42"]
@@ -411,8 +430,10 @@ def test_export_is_byte_stable(fano):
 
 def test_export_rejects_unknown_format(fano):
     g = build_gamma(OrderedDesign.id_order(fano))
+    out = io.BytesIO()
     with pytest.raises(ValueError):
-        export_graph(g, "graphml")
+        write_graph(g, "graphml", out)
+    assert out.getvalue() == b""
 
 
 def test_incidence_graph_rejects_broken_adjacency():
@@ -437,4 +458,4 @@ def test_empty_design_yields_empty_graph():
     g = build_gamma(OrderedDesign.id_order(Design(0, (), strength=2)))
     assert g.n_vertices == 0
     assert check_clique_free(g, 3) is None
-    assert export_graph(g, "dimacs") == b"p edge 0 0\n"
+    assert _exported(g, "dimacs") == b"p edge 0 0\n"
