@@ -4,14 +4,15 @@ Subcommands: construct (build a family member and write its design JSON),
 verify (packing validity + clique-freeness + the strength-2 incidence
 inequality), analyze (one bounds-report row), export (DIMACS or edge-json
 graph dumps), sweep (the exact-size family over a range of n, with per-n
-assertions).  Exit codes: 0 ok, 1 property failure, 2 usage error.
+assertions).  Exit codes: 0 ok, 1 property failure, 2 usage error or
+unwritable output, 141 when the reader of standard output has gone.
+``_output`` owns the ``--out`` files and ``main`` owns standard output.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -81,19 +82,19 @@ def _load_design(path: str) -> Design:
 
 
 @contextmanager
-def _writing(path: Path, mode: str):
-    """Open ``path`` for writing; an OSError from the open, a write or the
-    close is a usage error.  A file left part-written stays."""
+def _output(path: Optional[str | Path], mode: str = "w"):
+    """Yield ``path`` opened with ``mode``, or standard output (its binary
+    buffer in "wb" mode) when ``path`` is None.  A file's OSError is a usage
+    error, and a part-written file stays; standard output's are ``main``'s."""
+    if path is None:
+        yield sys.stdout.buffer if "b" in mode else sys.stdout
+        return
+    path = Path(path)
     try:
         with path.open(mode) as out:
             yield out
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}")
-
-
-def _write(path: Path, text: str) -> None:
-    with _writing(path, "w") as out:
-        out.write(text)
 
 
 def _make_ordered(design: Design, spec: str) -> tuple[OrderedDesign, Optional[int]]:
@@ -153,20 +154,21 @@ def cmd_construct(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     out = Path(args.out)
-    # a given trace path may name the design (the default one never does)
-    given = trace is not None and args.trace_out is not None
-    if given and os.path.realpath(args.trace_out) == os.path.realpath(out):
-        raise UsageError(f"--trace-out names the design path {out}")
-    _write(out, design_to_json(design))
+    trace_path = None
     if trace is not None:
-        trace_path = (
-            Path(args.trace_out)
-            if args.trace_out is not None
-            else out.with_suffix(".trace.json")
-        )
-        doc = json.dumps(asdict(trace), separators=(",", ":"))
+        # the default never names the design; unlike with_suffix, it
+        # accepts an --out with an empty name (`.`), which fails to open
+        trace_path = out.parent / f"{out.stem}.trace.json"
+        if args.trace_out is not None:
+            trace_path = Path(args.trace_out)
+        if os.path.realpath(trace_path) == os.path.realpath(out):
+            raise UsageError(f"--trace-out names the design path {out}")
+    with _output(out) as stream:
+        stream.write(design_to_json(design))
+    if trace_path is not None:
         try:
-            _write(trace_path, doc + "\n")
+            with _output(trace_path) as stream:
+                stream.write(json.dumps(asdict(trace), separators=(",", ":")) + "\n")
         except UsageError:
             out.unlink()  # no design without its trace
             raise
@@ -206,19 +208,14 @@ def cmd_verify(args) -> int:
 
 
 def _write_report_rows(rows, fmt: str, out: Optional[str], *, array: bool) -> None:
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(rows[0].as_dict().keys())
-        writer.writerows(row.csv_row() for row in rows)
-        payload = buf.getvalue()
-    else:
-        docs = [row.as_dict() for row in rows]
-        payload = json.dumps(docs if array else docs[0], indent=2) + "\n"
-    if out is None:
-        sys.stdout.write(payload)
-    else:
-        _write(Path(out), payload)
+    with _output(out) as stream:
+        if fmt == "csv":
+            writer = csv.writer(stream, lineterminator="\n")
+            writer.writerow(rows[0].as_dict().keys())
+            writer.writerows(row.csv_row() for row in rows)
+        else:
+            docs = [row.as_dict() for row in rows]
+            stream.write(json.dumps(docs if array else docs[0], indent=2) + "\n")
 
 
 def cmd_analyze(args) -> int:
@@ -245,20 +242,8 @@ def cmd_analyze(args) -> int:
 def cmd_export(args) -> int:
     design = _load_design(args.design)
     g, _seed = _build_graph(design, args.order, args.design)
-    if args.out is not None:
-        with _writing(Path(args.out), "wb") as out:
-            write_graph(g, args.format, out)
-        return 0
-    try:
-        write_graph(g, args.format, sys.stdout.buffer)
-        sys.stdout.buffer.flush()
-    except BrokenPipeError:
-        # The reader has gone (`export ... | head`): stop writing, and point
-        # fd 1 at the null device so the interpreter's final flush of the
-        # rows still buffered stays quiet.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    with _output(args.out, "wb") as out:
+        write_graph(g, args.format, out)
     return 0
 
 
@@ -400,9 +385,21 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # `_output` maps the files' OSErrors, so this is standard output's:
+        # point fd 1 at the null device, or the interpreter's last flush fails
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            return 141  # the reader has gone (`... | head`): say nothing
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
         return 2
 
 

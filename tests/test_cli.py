@@ -1,7 +1,8 @@
 """Command-line behavior: exit codes, file outputs, determinism.
 
 Exit code contract: 0 on success, 1 when a verified property fails, 2 on
-usage errors (bad parameters, unreadable files).  Identical configurations
+usage errors (bad parameters, unreadable files, unwritable outputs), 141
+when the reader of standard output has gone.  Identical configurations
 must produce byte-identical output files.
 """
 
@@ -31,6 +32,44 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def spawn(args, *, buffered, **popen_kwargs):
+    """Start ``python -m ramsey_forge ARGS`` with ``src`` on the path and its
+    standard output block-buffered, as by default, or unbuffered, as with
+    ``PYTHONUNBUFFERED=1``.  A failed buffered write surfaces again at the
+    interpreter's last flush, so output failures are tested in both modes."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    else:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen(
+        [sys.executable, "-m", "ramsey_forge", *map(str, args)],
+        env=env,
+        **popen_kwargs,
+    )
+
+
+# One run of each command that writes to standard output; {fano} is the
+# Fano plane's design file and {out} a fresh design path.
+STDOUT_COMMANDS = {
+    "construct": ["construct", "--family", "projective", "--p", "2", "--out", "{out}"],
+    "verify": ["verify", "{fano}"],
+    "analyze": ["analyze", "{fano}"],
+    "sweep": ["sweep", "--n", "1..3"],
+    "export": ["export", "{fano}"],
+}
+BUFFERING = pytest.mark.parametrize(
+    "buffered", [True, False], ids=["buffered", "unbuffered"]
+)
+
+
+def _stdout_command(name, tmp_path):
+    fano = tmp_path / "fano.json"
+    fano.write_text(design_to_json(projective_plane(2)))
+    out = tmp_path / "out.json"
+    return [a.format(fano=fano, out=out) for a in STDOUT_COMMANDS[name]], out
 
 
 def test_construct_projective(tmp_path, capsys):
@@ -271,6 +310,19 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
     assert not paths["ok"].exists()  # no design is left without its trace
 
 
+def test_construct_trim_to_a_directory_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # the default trace path is worked out before the design is written,
+    # even for an --out with an empty name
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run(
+        ["construct", "--family", "trim", "--n", "10", "--out", "."], capsys
+    )
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: cannot write .: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_analyze_csv(tmp_path, capsys):
     design = tmp_path / "fano.json"
     run(["construct", "--family", "projective", "--p", "2", "--out", str(design)], capsys)
@@ -497,20 +549,54 @@ def test_export_to_a_closed_pipe_exits_quietly(tmp_path):
     # buffer, so the writer is still writing rows when the reader leaves
     design = tmp_path / "plane11.json"
     design.write_text(design_to_json(projective_plane(11)))
-    stderr = tmp_path / "stderr"
-    with stderr.open("wb") as err:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "ramsey_forge", "export", str(design)],
-            env=dict(os.environ, PYTHONPATH=str(SRC)),
+    for buffered in (True, False):
+        proc = spawn(
+            ["export", design],
+            buffered=buffered,
             stdout=subprocess.PIPE,
-            stderr=err,
+            stderr=subprocess.PIPE,
         )
         head = proc.stdout.read(20)
         proc.stdout.close()
+        stderr = proc.stderr.read()
         code = proc.wait(timeout=60)
-    assert head == b"p edge 1596 96558\ne "
-    assert code == 0
-    assert stderr.read_bytes() == b""
+        proc.stderr.close()
+        assert head == b"p edge 1596 96558\ne "
+        assert (code, stderr) == (141, b""), f"buffered={buffered}"
+
+
+@BUFFERING
+@pytest.mark.parametrize("command", list(STDOUT_COMMANDS))
+def test_every_command_to_a_closed_pipe_exits_141(tmp_path, command, buffered):
+    # the reader leaves before the first byte: a 141 exit never claims
+    # success (exit 0) for work that was never reported
+    argv, out = _stdout_command(command, tmp_path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = spawn(argv, buffered=buffered, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert stderr == b""
+    assert out.exists() == (command == "construct")  # files come first
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@BUFFERING
+@pytest.mark.parametrize("command", list(STDOUT_COMMANDS))
+def test_every_command_to_a_full_stdout_is_a_usage_error(
+    tmp_path, command, buffered
+):
+    argv, _ = _stdout_command(command, tmp_path)
+    with open("/dev/full", "wb") as full:
+        proc = spawn(argv, buffered=buffered, stdout=full, stderr=subprocess.PIPE)
+        _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert stderr == (
+        b"error: cannot write standard output: [Errno 28] No space left on device\n"
+    )
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -596,24 +682,24 @@ def test_sweep_is_deterministic(tmp_path, capsys):
 
 def test_console_entry_point(tmp_path):
     out = tmp_path / "fano.json"
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ramsey_forge", "construct", "--family",
-         "projective", "--p", "2", "--out", str(out)],
-        env=env,
-        capture_output=True,
-        text=True,
+
+    def entry(*args):
+        proc = spawn(
+            args,
+            buffered=True,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        stdout, _ = proc.communicate(timeout=60)
+        return proc.returncode, stdout
+
+    code, stdout = entry(
+        "construct", "--family", "projective", "--p", "2", "--out", out
     )
-    assert proc.returncode == 0
-    assert "points: 7" in proc.stdout
-    proc = subprocess.run(
-        [sys.executable, "-m", "ramsey_forge", "construct", "--family",
-         "projective"],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 2  # --p missing
+    assert code == 0
+    assert "points: 7" in stdout
+    assert entry("construct", "--family", "projective")[0] == 2  # --p missing
 
 
 def test_usage_error_from_argparse(capsys):
