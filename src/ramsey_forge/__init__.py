@@ -28,10 +28,8 @@ from .constructions import (
     TrimTrace,
     affine_plane,
     grid_line_design,
-    is_prime,
     projective_plane,
     random_packing,
-    smallest_prime_in,
     trim_to_n,
 )
 from .designs import (
@@ -89,7 +87,6 @@ __all__ = [
     "grid_line_design",
     "incidence_count",
     "is_pairwise_balanced",
-    "is_prime",
     "is_steiner",
     "largest_block_set",
     "projective_plane",
@@ -97,7 +94,6 @@ __all__ = [
     "ravsky_lower_bound",
     "ravsky_quadratic_check",
     "rectangle_free",
-    "smallest_prime_in",
     "trim_to_n",
     "upper_bound_alpha",
     "validate_packing",

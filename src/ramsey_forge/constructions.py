@@ -14,7 +14,6 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
 
 from .designs import MAX_REGISTERED_SUBSETS, Design
 from .incidence_graphs import MAX_GRAPH_VERTICES, _check_graph_size
@@ -23,52 +22,15 @@ from .incidence_graphs import MAX_GRAPH_VERTICES, _check_graph_size
 REJECTION_BUDGET = 1000
 
 
-# Miller-Rabin to the thirteen prime bases 2..41 decides primality exactly
-# below this bound, the least composite that passes all of them; the twelve
-# bases 2..37 alone pass the composite 318665857834031151167461.
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PRIME_BASES_BOUND = 3317044064679887385961981
-
-
-def is_prime(n: int) -> bool:
-    """Exact primality by deterministic Miller-Rabin, below about 3.3e24.
-
-    Raises ValueError from ``_PRIME_BASES_BOUND`` on, where the fixed bases
-    no longer decide it.
-    """
-    if n >= _PRIME_BASES_BOUND:
-        raise ValueError(
-            f"is_prime is exact only below {_PRIME_BASES_BOUND}, got {n}"
-        )
-    if n < 2:
-        return False
-    for a in _PRIME_BASES:
-        if n % a == 0:
-            return n == a
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s, d odd
-    d = (n - 1) >> s
-    for a in _PRIME_BASES:
-        x = pow(a, d, n)
-        if x == 1:
-            continue
-        for _ in range(s):
-            if x == n - 1:
-                break
-            x = x * x % n
-        else:
-            return False
-    return True
-
-
-def smallest_prime_in(lo: int, hi: int) -> Optional[int]:
-    """Smallest prime in [lo, hi], or None when the interval has none."""
-    if lo > hi:
-        raise ValueError("lo must not exceed hi")
-    return next((p for p in range(lo, hi + 1) if is_prime(p)), None)
+def _is_small_prime(p: int) -> bool:
+    """Trial division, safe only because no caller passes a large p: the
+    planes gate their incidence count first (p <= 39 passes), trim_to_n
+    gates n first (it stops at p = 41), and p < 2 fails ``p > 1`` at once."""
+    return p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 def _require_prime(p: int) -> None:
-    if not is_prime(p):
+    if not _is_small_prime(p):
         raise ValueError(f"p={p}: prime required")
 
 
@@ -214,12 +176,12 @@ def trim_to_n(n: int) -> tuple[Design, TrimTrace]:
     """Strength-2 design with exactly ``n`` incidence pairs, for any n >= 1.
 
     Picks the smallest k with k**3 + k**2 >= n (then k**3 + k**2 <= 6n holds
-    as well) and the smallest prime p in [k, 2k].  One walk lists the
-    incidences of the affine plane of order p: each block's first point in
-    block order, then each block's remaining points, block by block.  The
-    design keeps the walk's first n incidences, restricted (and densely
-    relabelled) to the points they cover, so it passes validation; the
-    trace's ``removed`` is the rest of the walk reversed: last block
+    as well) and the smallest prime p in [k, 2k] (Bertrand's postulate).  One
+    walk lists the incidences of the affine plane of order p: each block's
+    first point in block order, then each block's remaining points, block by
+    block.  The design keeps the walk's first n incidences, restricted (and
+    densely relabelled) to the points they cover, so it passes validation;
+    the trace's ``removed`` is the rest of the walk reversed: last block
     backwards, largest point first.  Its graph has n vertices, so ValueError
     is raised first when n exceeds ``MAX_GRAPH_VERTICES``.
     """
@@ -229,8 +191,7 @@ def trim_to_n(n: int) -> tuple[Design, TrimTrace]:
     k = 1
     while k**3 + k**2 < n:
         k += 1
-    p = smallest_prime_in(k, 2 * k)
-    assert p is not None  # Bertrand's postulate
+    p = next(q for q in range(k, 2 * k + 1) if _is_small_prime(q))
     base, walk = _trim_walk(p)
     kept: list[list[int]] = [[] for _ in base.blocks]
     for i, pt in walk[:n]:

@@ -12,16 +12,17 @@ block-pair oracle the earlier graph builder that sets both ends of every
 edge through a pair-to-index dict, the trim oracle the earlier
 exact-size trim that pops incidences off the affine plane in two loops, and
 the random-packing oracle the earlier sampler that does not cut its target
-to the packing bound.
+to the packing bound.  The block-top oracle finds alpha from the design and
+the point order alone, by one choice of top point per block.
 """
 
 import json
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
-from ramsey_forge import Design, TrimTrace, smallest_prime_in
+from ramsey_forge import Design, TrimTrace
 from ramsey_forge.constructions import REJECTION_BUDGET, _affine_plane
 
 ENUMERATION_CAP = 22
@@ -255,6 +256,36 @@ def has_clique_brute(adjacency, m):
     return first_clique_brute(adjacency, m) is not None
 
 
+def alpha_by_block_tops(od):
+    """Independence number of the incidence graph, from the design alone.
+
+    Give every block B a top t_B in B, and let open(x) count the blocks
+    through x topped above x in the order.  A pair (x, B) fits an
+    independent set with these tops when x is at or below t_B and every
+    other block through x is topped at or below x, so point x contributes 1
+    when open(x) = 1, the number of blocks topped at x when open(x) = 0, and
+    nothing otherwise.  Alpha is the best total over all prod |B| choices of
+    tops, tried one by one.
+    """
+    design = od.design
+    rank = {x: r for r, x in enumerate(od.order)}
+    blocks_of = [[] for _ in range(design.point_count)]
+    for bi, block in enumerate(design.blocks):
+        for x in block:
+            blocks_of[x].append(bi)
+    best = 0
+    for tops in product(*design.blocks):
+        total = 0
+        for x, through in enumerate(blocks_of):
+            opened = sum(rank[tops[bi]] > rank[x] for bi in through)
+            if opened == 1:
+                total += 1
+            elif opened == 0:
+                total += sum(tops[bi] == x for bi in through)
+        best = max(best, total)
+    return best
+
+
 def naive_packing_valid(design):
     """The three packing conditions evaluated straight off the definition."""
     if any(len(block) == 0 for block in design.blocks):
@@ -282,20 +313,33 @@ def incidence_matrix_has_rectangle(design):
     return False
 
 
-def trim_by_popping(n):
-    """Exact-size trim of an affine plane by two mutating pop loops.
+def prime_by_definition(q):
+    """Whether q > 1 has no divisor in 2..q-1, tested one by one."""
+    return q > 1 and all(q % d for d in range(2, q))
 
-    Same parameters as ``trim_to_n``: the smallest k with k**3 + k**2 >= n
-    and the smallest prime p in [k, 2k].  Walking the blocks from the last
-    backwards, pop each block's largest point while more than one point
-    remains; only once every block is a singleton pop whole blocks, again
-    from the back.  Emptied blocks are dropped and the surviving points are
-    relabelled densely in ascending order.
+
+def trim_parameters(n):
+    """The cube parameter k and prime p of an exact-size trim of n incidences.
+
+    k is the smallest integer with k**3 + k**2 >= n and p the smallest prime
+    in [k, 2k], both found by scanning upward from their definitions.
     """
     k = 1
     while k**3 + k**2 < n:
         k += 1
-    p = smallest_prime_in(k, 2 * k)
+    return k, next(q for q in range(k, 2 * k + 1) if prime_by_definition(q))
+
+
+def trim_by_popping(n):
+    """Exact-size trim of an affine plane by two mutating pop loops.
+
+    Same parameters as ``trim_to_n``, from ``trim_parameters``.  Walking the
+    blocks from the last backwards, pop each block's largest point while more
+    than one point remains; only once every block is a singleton pop whole
+    blocks, again from the back.  Emptied blocks are dropped and the
+    surviving points are relabelled densely in ascending order.
+    """
+    k, p = trim_parameters(n)
     base = _affine_plane(p)
     blocks = [list(block) for block in base.blocks]
     removed = []

@@ -2,12 +2,13 @@
 
 The greedy set is pinned to one vertex per block on every instance and
 order; the exact branch-and-bound optimum is compared against full 2**v
-subset enumeration on random graphs, with and without planted triangles, and
-against the earlier recursive solver on packing graphs under random orders;
-the root rule that picks its search is pinned, and so are its witnesses on
-triangle-free graphs; all closed-form bounds are checked
-both on hand-worked values and as inequalities across constructed and random
-designs.  The hypothesis properties run derandomized.
+subset enumeration on random graphs, with and without planted triangles,
+against the earlier recursive solver on packing graphs under random orders,
+and against the block-top oracle, which reads only the design and the
+order, beneath the forest cap a + b - c; the root rule that picks its search
+is pinned, and so are its witnesses on triangle-free graphs; all closed-form
+bounds are checked both on hand-worked values and as inequalities across
+constructed and random designs.  The hypothesis properties run derandomized.
 """
 
 import math
@@ -40,7 +41,12 @@ from ramsey_forge import (
     verify_independent,
 )
 from ramsey_forge import bounds
-from oracles import enumerate_alpha, exact_by_recursive_bnb, greedy_by_retiring_blocks
+from oracles import (
+    alpha_by_block_tops,
+    enumerate_alpha,
+    exact_by_recursive_bnb,
+    greedy_by_retiring_blocks,
+)
 from strategies import graphs_with_triangles, packings, random_graphs
 
 
@@ -191,6 +197,35 @@ def test_exact_matches_recursive_solver_on_strength_3_and_4_packings(od):
     exact = exact_max_independent_set(g, vertex_budget=100)
     assert verify_independent(g, exact)
     assert exact.size == len(exact_by_recursive_bnb(g.adjacency))
+
+
+def _incidence_components(design):
+    """Connected components of the point-block incidence graph of a packing
+    (every block non-empty, every point covered), by union-find on points."""
+    parent = list(range(design.point_count))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for block in design.blocks:
+        for x in block[1:]:
+            parent[find(x)] = find(block[0])
+    return sum(find(x) == x for x in range(design.point_count))
+
+
+@settings(max_examples=120)
+@given(packings((1, 2, 3, 4), max_vertices=27))
+def test_exact_matches_block_tops_and_the_forest_cap(od):
+    # at most 27 incidences keep the prod |B| <= 3**9 top choices
+    design = od.design
+    g = build_gamma(od)
+    exact = exact_max_independent_set(g).size
+    assert exact == alpha_by_block_tops(od)
+    cap = design.point_count + len(design.blocks) - _incidence_components(design)
+    assert greedy_independent_set(g).size <= exact <= cap
 
 
 def _searches_taken(monkeypatch, g):

@@ -3,20 +3,22 @@
 The plane constructors are cross-checked against enumeration (pair coverage,
 block sizes, point degrees), the grid family against its closed-form counts,
 and the exact-size trim against hand-traced runs, its invariant chain
-n <= k^3 + k^2 <= 6n, k <= p <= 2k for every n up to 300, and the earlier
-two-loop trim in ``oracles.trim_by_popping``.  Grid designs are pinned by
-the sha256 of their JSON.  The random packing is checked against its caps
-and against ``oracles.random_packing_uncut``, which samples toward the
-target as given, uncut by the packing bound.  Each constructor's graph-cap
-gate is checked at the family's largest member, one step past it, and far
-past it.
+n <= k^3 + k^2 <= 6n, k <= p <= 2k for every n up to 300, the earlier
+two-loop trim in ``oracles.trim_by_popping``, and the oracle's own choice of
+k and p at both ends of every band under the graph cap.  The planes' prime
+check is pinned on every order their size gates admit.  Grid designs are
+pinned by the sha256 of their JSON.  The random packing is checked against
+its caps and against ``oracles.random_packing_uncut``, which samples toward
+the target as given, uncut by the packing bound.  Each constructor's
+graph-cap gate is checked at the family's largest member, one step past it,
+and far past it.
 """
 
 import hashlib
 import time
 from collections import Counter
 from itertools import combinations
-from math import comb, isqrt
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -30,51 +32,41 @@ from ramsey_forge import (
     fisher_holds,
     grid_line_design,
     incidence_count,
-    is_prime,
     is_steiner,
     projective_plane,
     random_packing,
     rectangle_free,
-    smallest_prime_in,
     trim_to_n,
     validate_packing,
 )
 from ramsey_forge.designs import MAX_REGISTERED_SUBSETS
 from ramsey_forge.incidence_graphs import MAX_GRAPH_VERTICES
 
-from oracles import random_packing_uncut, trim_by_popping
-
-
-def test_is_prime_matches_definition():
-    for n in range(-5, 10**5):
-        naive = n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
-        assert is_prime(n) == naive
-
-
-def test_is_prime_decides_large_numbers_at_once():
-    start = time.perf_counter()
-    assert is_prime(10**18 + 3)
-    assert not is_prime((10**9 + 7) * (10**9 + 9))
-    # a strong pseudoprime to every prime base up to 37
-    assert not is_prime(399165290221 * 798330580441)
-    assert is_prime(2**61 - 1)
-    assert time.perf_counter() - start < 1
-    assert smallest_prime_in(10**18, 10**18 + 10) == 10**18 + 3
-
-
-def test_is_prime_refuses_numbers_past_its_exact_range():
-    bound = 3317044064679887385961981
-    assert not is_prime(bound - 1)
-    for n in (bound, 10**30):
-        with pytest.raises(ValueError, match=f"exact only below {bound}"):
-            is_prime(n)
+from oracles import (
+    prime_by_definition,
+    random_packing_uncut,
+    trim_by_popping,
+    trim_parameters,
+)
 
 
 def test_prime_field_rejects_composite_order():
-    for construct in (projective_plane, affine_plane):
-        for bad in (0, 1, 4, 6, 9):
-            with pytest.raises(ValueError, match="prime required"):
-                construct(bad)
+    # every order the graph cap admits (p <= 39) builds when prime and is
+    # refused as composite otherwise; negative orders pass the size gate
+    points = {projective_plane: lambda p: p * p + p + 1, affine_plane: lambda p: p * p}
+    for construct, count in points.items():
+        for p in range(-5, 40):
+            if prime_by_definition(p):
+                assert construct(p).point_count == count(p), (construct, p)
+            else:
+                with pytest.raises(ValueError, match=f"^p={p}: prime required$"):
+                    construct(p)
+        # composite 40, prime 41 and composite 10**30: the gate answers first
+        start = time.perf_counter()
+        for p in (40, 41, 10**30):
+            with pytest.raises(ValueError, match="^graph would have .* above the cap"):
+                construct(p)
+        assert time.perf_counter() - start < 1
 
 
 def _pair_coverage(design):
@@ -217,6 +209,18 @@ def test_trim_matches_the_two_loop_oracle():
         assert trim_to_n(n) == trim_by_popping(n), n
 
 
+def test_trim_picks_the_oracles_prime_in_every_band():
+    # p depends only on k, so the first and last n of each band k = 1..40
+    # reach every prime check a trim makes under the graph cap
+    for k in range(1, 41):
+        first = (k - 1) ** 3 + (k - 1) ** 2 + 1
+        last = min(k**3 + k**2, MAX_GRAPH_VERTICES)
+        for n in (first, last):
+            trace = trim_to_n(n)[1]
+            assert trim_parameters(n) == (trace.k, trace.p) and trace.k == k, n
+    assert trace.p == 41
+
+
 @pytest.mark.parametrize(
     "build, largest, above, far, incidences",
     [
@@ -274,15 +278,6 @@ def test_trim_trace_rejects_inconsistent_fields():
         TrimTrace(n=10, k=2, p=7, removed=((5, 3), (4, 1)))
     with pytest.raises(ValueError):
         TrimTrace(n=10, k=2, p=2, removed=())
-
-
-def test_smallest_prime_in():
-    assert smallest_prime_in(2, 4) == 2
-    assert smallest_prime_in(8, 16) == 11
-    assert smallest_prime_in(24, 28) is None
-    assert smallest_prime_in(1, 1) is None
-    with pytest.raises(ValueError):
-        smallest_prime_in(5, 4)
 
 
 def test_random_packing_is_reproducible():

@@ -1,11 +1,14 @@
-"""The runtime package imports nothing outside the standard library, and
-the command line uses only the package's public names."""
+"""The runtime package imports nothing outside the standard library, the
+command line uses only the package's public names, and ``__all__`` lists
+exactly the public names the package imports."""
 
 import ast
 import sys
 from pathlib import Path
 
 import pytest
+
+import ramsey_forge
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ramsey_forge"
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -42,3 +45,17 @@ def private_package_imports(path):
 def test_cli_imports_only_public_names():
     private = sorted(private_package_imports(PACKAGE / "cli.py"))
     assert private == [], f"cli.py imports {private}"
+
+
+def test_all_lists_exactly_the_public_imports():
+    # a public name dropped from the package cannot leave a stale export
+    exported = ramsey_forge.__all__
+    assert len(exported) == len(set(exported))
+    assert all(hasattr(ramsey_forge, name) for name in exported)
+    imported = {
+        alias.asname or alias.name
+        for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+    }
+    assert set(exported) == {name for name in imported if not name.startswith("_")}
