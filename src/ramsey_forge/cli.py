@@ -52,22 +52,9 @@ from .incidence_graphs import (
     write_graph,
 )
 
-SEED_ENV_VAR = "RAMSEY_FORGE_SEED"
-DEFAULT_SEED = 0
-
 
 class UsageError(Exception):
     """Bad parameters or unreadable inputs; maps to exit code 2."""
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
 
 
 def _load_design(path: str) -> Design:
@@ -100,16 +87,14 @@ def _output(path: Optional[str | Path], mode: str = "w"):
 def _make_ordered(design: Design, spec: str) -> tuple[OrderedDesign, Optional[int]]:
     if spec == "id":
         return OrderedDesign.id_order(design), None
-    if spec == "random":
-        seed = _default_seed()
-        return OrderedDesign.random_order(design, seed), seed
-    if spec.startswith("random:"):
-        try:
-            seed = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise UsageError(f"invalid order spec {spec!r}")
-        return OrderedDesign.random_order(design, seed), seed
-    raise UsageError(f"invalid order spec {spec!r} (expected id or random:<seed>)")
+    kind, _, text = spec.partition(":")
+    try:
+        if kind != "random":
+            raise ValueError
+        seed = int(text)
+    except ValueError:
+        raise UsageError(f"invalid order spec {spec!r} (expected id or random:<seed>)")
+    return OrderedDesign.random_order(design, seed), seed
 
 
 def _build_graph(design: Design, spec: str, path: str) -> tuple[IncidenceGraph, Optional[int]]:
@@ -144,8 +129,7 @@ def _construct_family(args) -> tuple[Design, Optional[TrimTrace]]:
     block_size = _require(args.block_size, "--block-size")
     strength = _require(args.strength, "--strength")
     blocks = _require(args.blocks, "--blocks")
-    seed = args.seed if args.seed is not None else _default_seed()
-    return random_packing(points, block_size, strength, blocks, seed), None
+    return random_packing(points, block_size, strength, blocks, args.seed), None
 
 
 def cmd_construct(args) -> int:
@@ -341,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     con.add_argument("--block-size", type=int, help="block size (random)")
     con.add_argument("--strength", type=int, help="packing strength (random)")
     con.add_argument("--blocks", type=int, help="target block count (random)")
-    con.add_argument("--seed", type=int, help=f"RNG seed (default ${SEED_ENV_VAR} or {DEFAULT_SEED})")
+    con.add_argument("--seed", type=int, default=0, help="RNG seed (random, default 0)")
     con.add_argument("--out", default="design.json", help="design output path")
     con.add_argument("--trace-out", help="trim trace output path")
     con.set_defaults(func=cmd_construct)

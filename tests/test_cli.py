@@ -207,19 +207,40 @@ def test_construct_refuses_a_trace_path_equal_to_the_design_path(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
 
 
-def test_construct_random_seed_env_override(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("value", ["7", "x"])
+def test_outputs_do_not_depend_on_the_environment(tmp_path, capsys, monkeypatch, value):
+    # a missing --seed means seed 0, whatever RAMSEY_FORGE_SEED says
     argv = [
-        "construct", "--family", "random", "--points", "10", "--block-size", "3",
-        "--strength", "2", "--blocks", "4",
+        "construct", "--family", "random", "--points", "16", "--block-size", "4",
+        "--strength", "3", "--blocks", "40",
     ]
-    a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
-    monkeypatch.setenv("RAMSEY_FORGE_SEED", "7")
-    assert run(argv + ["--out", str(a)], capsys)[0] == 0
-    assert run(argv + ["--out", str(b)], capsys)[0] == 0
-    assert a.read_bytes() == b.read_bytes()
-    # an explicit --seed wins over the environment
-    assert run(argv + ["--seed", "8", "--out", str(c)], capsys)[0] == 0
-    assert c.read_bytes() != a.read_bytes()
+    seed0, seed7, ambient = (tmp_path / f"{name}.json" for name in ("0", "7", "env"))
+    monkeypatch.delenv("RAMSEY_FORGE_SEED", raising=False)
+    assert run(argv + ["--seed", "0", "--out", str(seed0)], capsys)[0] == 0
+    assert run(argv + ["--seed", "7", "--out", str(seed7)], capsys)[0] == 0
+    assert seed7.read_bytes() != seed0.read_bytes()
+    verify = ["verify", str(seed0), "--order", "random:3"]
+    expected = run(verify, capsys)
+    assert expected[0] == 0
+    monkeypatch.setenv("RAMSEY_FORGE_SEED", value)
+    assert run(argv + ["--out", str(ambient)], capsys) == (
+        0, "points: 16\nblocks: 40\nincidences: 160\n", ""
+    )
+    assert ambient.read_bytes() == seed0.read_bytes()
+    assert run(verify, capsys) == expected
+
+
+@pytest.mark.parametrize(
+    "family, flag", [("projective", "--p"), ("affine", "--p"), ("grid", "--N")]
+)
+def test_construct_requires_the_family_parameter(tmp_path, capsys, family, flag):
+    out = tmp_path / "d.json"
+    code, stdout, stderr = run(
+        ["construct", "--family", family, "--out", str(out)], capsys
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: {flag} is required for this family\n"
+    assert not out.exists()
 
 
 def test_verify_ok(tmp_path, capsys):
@@ -258,13 +279,17 @@ def test_verify_strength3_reports_k4(tmp_path, capsys):
     assert "K4-free: yes" in stdout
 
 
-def test_verify_parses_the_order_before_printing(tmp_path, capsys):
+@pytest.mark.parametrize("spec", ["bogus", "random", "random:", "random:abc"])
+def test_verify_parses_the_order_before_printing(tmp_path, capsys, spec):
+    # the order grammar is exactly id|random:<seed>
     design = tmp_path / "fano.json"
     run(["construct", "--family", "projective", "--p", "2", "--out", str(design)], capsys)
-    code, stdout, stderr = run(["verify", str(design), "--order", "bogus"], capsys)
+    code, stdout, stderr = run(["verify", str(design), "--order", spec], capsys)
     assert code == 2
     assert stdout == ""
-    assert "invalid order spec 'bogus'" in stderr
+    assert stderr == (
+        f"error: invalid order spec {spec!r} (expected id or random:<seed>)\n"
+    )
 
 
 def test_verify_missing_file(tmp_path, capsys):
@@ -444,6 +469,22 @@ def test_invalid_design_is_a_usage_error(tmp_path, capsys, command):
         f"error: {bad}: design violates the packing conditions "
         "(1 violation(s); first: pair {0, 1} in blocks 0 and 1)\n"
     )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", "not a design document: expected a JSON object"),
+        ('{"point_count":-1,"strength":2,"blocks":[]}', "point_count must be >= 0"),
+        ('{"point_count":1,"strength":2,"blocks":[[0]],"labels":[1]}',
+         "labels must be a list of strings"),
+    ],
+    ids=["array", "negative-points", "integer-label"],
+)
+def test_malformed_design_file_is_a_usage_error(tmp_path, capsys, text, message):
+    design = tmp_path / "bad.json"
+    design.write_text(text)
+    assert run(["verify", str(design)], capsys) == (2, "", f"error: {design}: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["verify", "analyze", "export"])
@@ -637,6 +678,9 @@ def test_sweep_single_value_is_exact_fit(tmp_path, capsys):
     assert len(rows) == 1
     assert rows[0]["n_vertices"] == "12"
     assert rows[0]["a"] == "4" and rows[0]["b"] == "6"  # untrimmed AG(2,2)
+    bare = tmp_path / "bare.csv"
+    assert run(["sweep", "--n", "12", "--out", str(bare)], capsys)[0] == 0
+    assert bare.read_bytes() == report.read_bytes()
 
 
 def test_sweep_json_is_an_array_for_every_range(capsys):
@@ -655,6 +699,10 @@ def test_sweep_rejects_zero(tmp_path, capsys):
     assert "n >= 1 required" in stderr
     code, _, stderr = run(["sweep", "--n", "5..3"], capsys)
     assert code == 2
+    for spec in ("1..2..3", "x", "1.."):
+        assert run(["sweep", "--n", spec], capsys) == (
+            2, "", f"error: invalid range {spec!r} (expected LO..HI)\n"
+        )
 
 
 @pytest.mark.parametrize(

@@ -294,6 +294,8 @@ def test_clique_search_on_the_empty_graph_and_above_the_vertex_count(fano):
     for m in (g.n_vertices + 1, g.n_vertices + 5):
         assert check_clique_free(g, m) is None
         assert first_clique_by_dfs(g.adjacency, m) is None
+    with pytest.raises(ValueError, match="^clique size must be >= 1$"):
+        check_clique_free(g, 0)
 
 
 def _scale_graph(family, order_seed):
@@ -445,6 +447,8 @@ def test_incidence_graph_rejects_broken_adjacency():
         IncidenceGraph(vertices=((0, 0),), adjacency=(0b10,), m=3)
     with pytest.raises(ValueError):  # duplicate vertex
         IncidenceGraph(vertices=((0, 0), (0, 0)), adjacency=(0, 0), m=3)
+    with pytest.raises(ValueError, match="^adjacency must have one bit row per vertex$"):
+        IncidenceGraph(vertices=((0, 0), (1, 1)), adjacency=(0,), m=3)
 
 
 def test_affine_graph_vertex_count_formula():

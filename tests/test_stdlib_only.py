@@ -1,6 +1,7 @@
-"""The runtime package imports nothing outside the standard library, the
-command line uses only the package's public names, and ``__all__`` lists
-exactly the public names the package imports."""
+"""The runtime package imports nothing outside the standard library and
+reads no environment variable, the command line uses only the package's
+public names, and ``__all__`` lists exactly the public names the package
+imports."""
 
 import ast
 import sys
@@ -31,6 +32,31 @@ def test_package_sources_are_found():
 def test_runtime_imports_only_the_standard_library(path):
     foreign = sorted(set(absolute_imports(path)) - sys.stdlib_module_names)
     assert foreign == [], f"{path.name} imports {foreign}"
+
+
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(path):
+    """``file:line: os.name`` for each use of an ``os`` environment reader,
+    as an attribute of ``os`` or imported from it, in one source file."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS:
+            if isinstance(node.value, ast.Name) and node.value.id == "os":
+                yield f"{path.name}:{node.lineno}: os.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            yield from (
+                f"{path.name}:{node.lineno}: os.{alias.name}"
+                for alias in node.names
+                if alias.name in ENVIRONMENT_READERS
+            )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_runtime_reads_no_environment_variable(path):
+    # every output is a function of the command line and its input files
+    reads = list(environment_reads(path))
+    assert reads == [], f"{path.name} reads the environment: {reads}"
 
 
 def private_package_imports(path):
